@@ -176,16 +176,20 @@ def project_unbiased_povm(a, space: CopySpace, value_grid,
             np.abs(target_avg - np.einsum("m,mij->ij", values, f)).max()
         )
         if max(res_eye, res_avg) <= convergence_tol:
+            # completeness is judged again in the computational basis, where
+            # Povm.validate checks it: the rotation back can raise the residual
             elements = np.einsum("ia,mab,jb->mij", basis_q, f, basis_q.conj())
-            povm = Povm(values, elements, space)
-            return FeasibilityResult(
-                povm=povm,
-                iterations=iteration,
-                completeness_residual=res_eye,
-                unbiasedness_residual=float(
-                    np.abs(povm.first_moment() - avg).max()
-                ),
-            )
+            res_eye = float(np.abs(elements.sum(axis=0) - target_eye).max())
+            if res_eye <= convergence_tol:
+                povm = Povm(values, elements, space)
+                return FeasibilityResult(
+                    povm=povm,
+                    iterations=iteration,
+                    completeness_residual=res_eye,
+                    unbiasedness_residual=float(
+                        np.abs(povm.first_moment() - avg).max()
+                    ),
+                )
         if iteration == max_iterations:
             raise InfeasibleError(
                 f"no convergence to {convergence_tol:.1e} within "

@@ -11,6 +11,7 @@ diagnostic on stderr), 2 usage or input-format problems.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from dataclasses import dataclass
@@ -378,7 +379,9 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every main() call."""
     parser = argparse.ArgumentParser(
         prog="obsavg",
         description="Ensemble-average estimation on identical copies",

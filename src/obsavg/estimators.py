@@ -7,14 +7,16 @@ distribution on tensor-power states.
 """
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError
-from .linops import DensityMatrix, Observable, as_matrix
+from .errors import DimensionCapError, DimensionMismatchError
+from .linops import DensityMatrix, Observable, as_matrix, default_dim_cap, tensor_power
 from .povm import OutcomeDistribution, Povm
-from .symspace import CopySpace, copy_average
+from .symspace import CopySpace
 
 MERGE_TOL_SCALE = 1e-8
 
@@ -25,37 +27,118 @@ def default_merge_tol(values: np.ndarray) -> float:
     return MERGE_TOL_SCALE * max(1.0, peak)
 
 
+def _cluster_labels(sorted_values: np.ndarray, tol: float) -> np.ndarray:
+    """Single-linkage cluster index of each sorted value.
+
+    A new cluster starts wherever the gap to the previous value exceeds tol,
+    so the labels run 0, 1, ... in ascending order of value.
+    """
+    labels = np.zeros(sorted_values.size, dtype=np.int64)
+    np.cumsum(np.diff(sorted_values) > tol, out=labels[1:])
+    return labels
+
+
+def _cluster_means(sorted_values: np.ndarray, weights: np.ndarray,
+                   labels: np.ndarray) -> np.ndarray:
+    """Weighted mean of each cluster's values; an all-zero cluster takes the plain mean.
+
+    Weights are divided by their cluster's largest one first: averaging raw
+    subnormal weights underflows to a mean of 0.0.
+    """
+    starts = np.flatnonzero(np.diff(labels, prepend=-1))
+    peak = np.maximum.reduceat(weights, starts)[labels]
+    scaled = np.divide(weights, peak, out=np.ones_like(weights), where=peak > 0.0)
+    return np.bincount(labels, scaled * sorted_values) / np.bincount(labels, scaled)
+
+
 def _merge_weighted(values: np.ndarray, probs: np.ndarray,
                     tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Single-linkage clustering of values; weights summed per cluster."""
     order = np.argsort(values, kind="stable")
     v, p = values[order], probs[order]
-    cuts = np.nonzero(np.diff(v) > tol)[0] + 1
-    merged_v, merged_p = [], []
-    for group in np.split(np.arange(v.size), cuts):
-        weight = p[group].sum()
-        if weight > 0.0:
-            merged_v.append(float(np.average(v[group], weights=p[group])))
-        else:
-            merged_v.append(float(v[group].mean()))
-        merged_p.append(float(weight))
-    return np.array(merged_v), np.array(merged_p)
+    labels = _cluster_labels(v, tol)
+    return _cluster_means(v, p, labels), np.bincount(labels, p)
+
+
+@dataclass(frozen=True)
+class _TypeClasses:
+    """Type classes of n draws from a d-point spectrum, clustered by mean value.
+
+    A type is a count vector k (k_i draws of eigenvalue i, sum n); on the
+    n-copy space it labels the product eigenvectors with k_i factors equal
+    to u_i, all of which have copy-average eigenvalue k.lambda / n.
+    """
+
+    counts: np.ndarray    # (T, d) count vector of each type
+    log_mult: np.ndarray  # (T,) log of the multinomial n! / prod_i k_i!
+    labels: np.ndarray    # (T,) outcome of each type, outcomes in ascending value
+    values: np.ndarray    # (M,) multiplicity-weighted mean of each outcome's type means
+
+
+def _type_classes(eigenvalues: np.ndarray, n: int,
+                  merge_tol: float | None) -> _TypeClasses:
+    """The canonical outcomes of n copies, from the single-copy spectrum alone.
+
+    Lists the C(n+d-1, d-1) types by stars and bars and clusters their means
+    by single linkage at merge_tol (default: default_merge_tol of the means).
+    Each outcome's value is the mean of its eigenvalues on the copy space,
+    every type mean counted with its multiplicity.
+    """
+    d = eigenvalues.size
+    bars = list(itertools.combinations(range(n + d - 1), d - 1))
+    bars = np.array(bars, dtype=np.int64).reshape(len(bars), d - 1)
+    edges = np.pad(bars, ((0, 0), (1, 1)), constant_values=((0, 0), (-1, n + d - 1)))
+    counts = np.diff(edges, axis=1) - 1
+    means = counts @ eigenvalues / n
+    log_factorial = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
+    log_mult = log_factorial[n] - log_factorial[counts].sum(axis=1)
+    if merge_tol is None:
+        merge_tol = default_merge_tol(means)
+    order = np.argsort(means, kind="stable")
+    sorted_labels = _cluster_labels(means[order], merge_tol)
+    weights = np.exp(log_mult[order] - log_mult.max())
+    values = _cluster_means(means[order], weights, sorted_labels)
+    labels = np.empty_like(sorted_labels)
+    labels[order] = sorted_labels
+    return _TypeClasses(counts, log_mult, labels, values)
 
 
 def _as_observable(a) -> Observable:
     return a if isinstance(a, Observable) else Observable(as_matrix(a))
 
 
+def _local_observable(a, space: CopySpace) -> Observable:
+    """a as an Observable on one copy of space."""
+    obs = _as_observable(a)
+    if obs.dim != space.local_dim:
+        raise DimensionMismatchError(
+            f"observable dim {obs.dim} does not match local_dim {space.local_dim}"
+        )
+    return obs
+
+
 def _as_state(rho) -> DensityMatrix:
     return rho if isinstance(rho, DensityMatrix) else DensityMatrix(as_matrix(rho))
+
+
+def _spectral_probabilities(obs: Observable, state: DensityMatrix) -> np.ndarray:
+    """p_i = <u_i| rho |u_i> over the observable's eigenvectors u_i."""
+    if obs.dim != state.dim:
+        raise DimensionMismatchError(
+            f"observable dim {obs.dim} vs state dim {state.dim}"
+        )
+    v = obs.eigenvectors
+    return np.einsum("ij,jk,ki->i", v.conj().T, state.matrix, v).real
 
 
 def canonical_povm(a, space: CopySpace, merge_tol: float | None = None) -> Povm:
     """Spectral measurement of the copy-averaged observable.
 
-    Eigenvalues of the copy average closer than merge_tol are clustered
-    (single linkage); each outcome carries the cluster's arithmetic-mean
-    value and the orthogonal projector onto its eigenspace.
+    The copy average is diagonal in the product basis U^(x)n of the
+    observable's eigenvectors, with eigenvalue k.lambda / n on every column
+    of type k. Type means closer than merge_tol are clustered (single
+    linkage); each outcome carries the mean of its eigenvalues and the
+    projector onto the columns of its types.
 
     Parameters
     ----------
@@ -64,24 +147,44 @@ def canonical_povm(a, space: CopySpace, merge_tol: float | None = None) -> Povm:
     space : CopySpace
         The copy space the measurement acts on.
     merge_tol : float, optional
-        Eigenvalue clustering tolerance; default 1e-8 * max(1, spectral peak).
+        Type-mean clustering tolerance; default 1e-8 * max(1, spectral peak).
+
+    Raises
+    ------
+    DimensionCapError
+        If the element stack (outcomes x total_dim^2 entries) would hold
+        more entries than one cap-sized matrix.
     """
-    obs = _as_observable(a)
-    if obs.dim != space.local_dim:
-        raise DimensionMismatchError(
-            f"observable dim {obs.dim} does not match local_dim {space.local_dim}"
+    obs = _local_observable(a, space)
+    d, n, dim = space.local_dim, space.n_copies, space.total_dim
+    classes = _type_classes(obs.eigenvalues, n, merge_tol)
+    n_out = classes.values.size
+    cap = default_dim_cap()
+    if n_out * dim * dim > cap * cap:
+        raise DimensionCapError(
+            f"canonical POVM stack of {n_out} elements of dim {dim} exceeds "
+            f"{cap}^2 entries",
+            details={"outcomes": n_out, "dim": dim, "cap": cap},
         )
-    avg = copy_average(obs.matrix, space)
-    w, v = np.linalg.eigh(avg)
-    if merge_tol is None:
-        merge_tol = default_merge_tol(w)
-    cuts = np.nonzero(np.diff(w) > merge_tol)[0] + 1
-    values, elements = [], []
-    for group in np.split(np.arange(w.size), cuts):
-        vecs = v[:, group]
-        values.append(float(w[group].mean()))
-        elements.append(vecs @ vecs.conj().T)
-    return Povm(values, np.stack(elements), space)
+    # count vector of each column of U^(x)n, the first factor most significant
+    col_counts = np.zeros((1, d), dtype=np.int64)
+    for _ in range(n):
+        col_counts = (col_counts[:, None, :] + np.eye(d, dtype=np.int64)).reshape(-1, d)
+    # every column's count vector is one of the types: match them as rows
+    n_types = classes.labels.size
+    _, ids = np.unique(np.vstack([classes.counts, col_counts]), axis=0,
+                       return_inverse=True)
+    ids = ids.reshape(-1)
+    label_of_id = np.empty(n_types, dtype=np.int64)
+    label_of_id[ids[:n_types]] = classes.labels
+    col_labels = label_of_id[ids[n_types:]]
+    basis = tensor_power(obs.eigenvectors, n)
+    elements = np.empty((n_out, dim, dim), dtype=np.complex128)
+    for m in range(n_out):
+        vecs = basis[:, col_labels == m]
+        np.matmul(vecs, vecs.conj().T, out=elements[m])
+    elements.setflags(write=False)
+    return Povm(classes.values, elements, space)
 
 
 def canonical_error(a, rho, n_copies: int) -> float:
@@ -96,13 +199,8 @@ def canonical_error(a, rho, n_copies: int) -> float:
 def single_copy_distribution(a, rho, merge_tol: float | None = None) -> OutcomeDistribution:
     """Spectral outcome distribution of one copy, eigenvalues clustered."""
     obs = _as_observable(a)
-    state = _as_state(rho)
-    if obs.dim != state.dim:
-        raise DimensionMismatchError(
-            f"observable dim {obs.dim} vs state dim {state.dim}"
-        )
-    w, v = obs.eigensystem
-    probs = np.einsum("ij,jk,ki->i", v.conj().T, state.matrix, v).real
+    probs = _spectral_probabilities(obs, _as_state(rho))
+    w = obs.eigenvalues
     if merge_tol is None:
         merge_tol = default_merge_tol(w)
     values, probs = _merge_weighted(w.astype(float), probs, merge_tol)
@@ -140,19 +238,12 @@ def total_variation(dist_a: OutcomeDistribution, dist_b: OutcomeDistribution,
     if value_tol is None:
         value_tol = default_merge_tol(all_values)
     order = np.argsort(all_values, kind="stable")
-    v = all_values[order]
-    cuts = np.nonzero(np.diff(v) > value_tol)[0] + 1
-    # cluster id for each concatenated entry
-    ids = np.zeros(v.size, dtype=np.int64)
-    ids[cuts] = 1
-    ids = np.cumsum(ids)
-    labels = np.empty(v.size, dtype=np.int64)
-    labels[order] = ids
-    n_clusters = int(ids[-1]) + 1 if v.size else 0
-    pa = np.zeros(n_clusters)
-    pb = np.zeros(n_clusters)
-    np.add.at(pa, labels[: dist_a.values.size], dist_a.probabilities)
-    np.add.at(pb, labels[dist_a.values.size:], dist_b.probabilities)
+    labels = np.empty(all_values.size, dtype=np.int64)
+    labels[order] = _cluster_labels(all_values[order], value_tol)
+    n_clusters = int(labels.max()) + 1
+    split = dist_a.values.size
+    pa = np.bincount(labels[:split], dist_a.probabilities, minlength=n_clusters)
+    pb = np.bincount(labels[split:], dist_b.probabilities, minlength=n_clusters)
     return 0.5 * float(np.abs(pa - pb).sum())
 
 
@@ -193,11 +284,15 @@ class EstimationReport:
         return out
 
 
-def _sample_stats(values: np.ndarray, counts: np.ndarray,
-                  shots: int) -> tuple[float, float]:
-    mean = float(counts @ values / shots)
+def _sample_stats(dist: OutcomeDistribution, shots: int,
+                  seed: int | None) -> tuple[float, float]:
+    """Mean and sample standard deviation of shots seeded multinomial draws."""
+    rng = np.random.default_rng(seed)
+    counts = rng.multinomial(shots, dist.probabilities / dist.probabilities.sum())
+    counts = counts.astype(float)
+    mean = float(counts @ dist.values / shots)
     if shots > 1:
-        var = float(counts @ (values - mean) ** 2 / (shots - 1))
+        var = float(counts @ (dist.values - mean) ** 2 / (shots - 1))
     else:
         var = 0.0
     return mean, float(np.sqrt(var))
@@ -206,26 +301,38 @@ def _sample_stats(values: np.ndarray, counts: np.ndarray,
 def estimate_canonical(a, rho, space: CopySpace, shots: int = 0,
                        seed: int | None = 0,
                        merge_tol: float | None = None) -> EstimationReport:
-    """Run the collective route: canonical POVM, its exact error, optional sampling."""
-    obs = _as_observable(a)
+    """Run the collective route: canonical outcome law, its exact error, optional sampling.
+
+    The canonical measurement's outcome law on rho^(x)n is computed over
+    type classes: outcome m has probability sum_k multinomial(n; k)
+    prod_i p_i^k_i over its types k, with p_i = <u_i|rho|u_i>. No operator
+    on the copy space is formed; canonical_povm builds the elements.
+    """
+    obs = _local_observable(a, space)
     state = _as_state(rho)
-    povm = canonical_povm(obs, space, merge_tol=merge_tol)
-    dist = povm.probabilities(state)
+    p = np.clip(_spectral_probabilities(obs, state), 0.0, None)
+    classes = _type_classes(obs.eigenvalues, space.n_copies, merge_tol)
+    # a type drawing an outcome of probability 0 is impossible; 0 * log 0 = 0
+    seen = p > 0.0
+    log_terms = classes.log_mult + classes.counts[:, seen] @ np.log(p[seen])
+    impossible = (classes.counts[:, ~seen] > 0).any(axis=1)
+    terms = np.where(impossible, 0.0, np.exp(log_terms))
+    probs = np.bincount(classes.labels, terms, minlength=classes.values.size)
+    dist = OutcomeDistribution(classes.values, probs,
+                               sum_tol=max(1e-10, space.total_dim * 1e-9))
+    expected = obs.expectation(state.matrix)
     report = EstimationReport(
         local_dim=space.local_dim,
         n_copies=space.n_copies,
-        expected_value=obs.expectation(state.matrix),
+        expected_value=expected,
         closed_form_error=canonical_error(obs, state, space.n_copies),
-        povm_error=povm.estimation_error(obs, state),
+        povm_error=dist.rms_about(expected),
         distribution=dist,
     )
     if shots > 0:
-        counts = povm.sample(state, shots, seed=seed)
-        mean, stddev = _sample_stats(dist.values, counts.astype(float), shots)
         report.shots = shots
         report.seed = seed
-        report.sample_mean = mean
-        report.sample_stddev = stddev
+        report.sample_mean, report.sample_stddev = _sample_stats(dist, shots, seed)
     return report
 
 
@@ -241,9 +348,7 @@ def simulate_repeated(a, rho, n_copies: int, shots: int, seed: int | None = 0,
     obs = _as_observable(a)
     state = _as_state(rho)
     dist = repeated_measurement_distribution(obs, state, n_copies, merge_tol=merge_tol)
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(shots, dist.probabilities / dist.probabilities.sum())
-    mean, stddev = _sample_stats(dist.values, counts.astype(float), shots)
+    mean, stddev = _sample_stats(dist, shots, seed)
     return EstimationReport(
         local_dim=obs.dim,
         n_copies=n_copies,

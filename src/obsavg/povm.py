@@ -128,7 +128,9 @@ class Povm:
         Real estimate announced for each outcome.
     elements : array_like, shape (M, D, D)
         The POVM elements. Not validated here; call validate() or
-        require_valid() to check positivity and completeness.
+        require_valid() to check positivity and completeness. They are
+        copied, unless already a read-only C-ordered complex128 array that
+        owns its data, which is kept as is.
     space : CopySpace, optional
         Copy-space metadata (local_dim, n_copies). Needed for the operations
         that compare against a single-copy observable or state.
@@ -155,8 +157,13 @@ class Povm:
             )
         vals = vals.copy()
         vals.setflags(write=False)
-        elems = np.array(elems, dtype=np.complex128, order="C", copy=True)
-        elems.setflags(write=False)
+        # no second copy of a frozen stack: canonical_povm's may be as large
+        # as a cap-sized matrix
+        frozen = (elems.base is None and elems.flags.c_contiguous
+                  and not elems.flags.writeable)
+        if not frozen:
+            elems = np.array(elems, dtype=np.complex128, order="C", copy=True)
+            elems.setflags(write=False)
         self.values = vals
         self.elements = elems
         self.space = space

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from obsavg import jsonio
-from obsavg.cli import builtin_operator, main
+from obsavg.cli import build_parser, builtin_operator, main
 from obsavg.estimators import canonical_povm
 from obsavg.linops import pure_state
 from obsavg.symspace import CopySpace, lift
@@ -210,6 +210,35 @@ def test_adversary_infeasible_grid_exits_1(capsys):
     assert code == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ADVERSARY_INFEASIBLE"
+
+
+def test_adversary_default_tol_passes_validation(capsys):
+    # converged in the eigenbasis at 1e-9 but 1.056e-9 incomplete after rotating back
+    code = main(["adversary", "--observable", "pauli-x", "--copies", "3",
+                 "--trials", "10", "--grid", "8", "--seed", "1081653680",
+                 "--tol", "1e-9"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    summary = json.loads(captured.out)
+    assert summary["converged"] == 10
+    assert summary["max_completeness_residual"] <= 1e-9
+
+
+def test_parser_is_reused_across_calls(plus_state_file, capsys):
+    calls = [
+        ["theta", "--observable", "pauli-z", "--copies", "0"],
+        ["canonical", "--observable", "pauli-z", "--state", plus_state_file,
+         "--copies", "3", "--shots", "50", "--seed", "4"],
+        ["theta", "--observable", "pauli-x", "--copies", "2"],
+    ]
+    in_sequence = []
+    for argv in calls:
+        in_sequence.append((main(argv), capsys.readouterr()))
+    assert build_parser() is build_parser()
+    for argv, seen in zip(calls, in_sequence):
+        build_parser.cache_clear()
+        assert (main(argv), capsys.readouterr()) == seen
+    assert [code for code, _ in in_sequence] == [2, 0, 0]
 
 
 def test_usage_errors_exit_2(tmp_path, plus_state_file):

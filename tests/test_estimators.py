@@ -1,7 +1,12 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from obsavg.errors import DimensionMismatchError
+from obsavg.errors import DimensionCapError, DimensionMismatchError
 from obsavg.estimators import (
     EstimationReport,
     canonical_error,
@@ -19,12 +24,32 @@ from obsavg.linops import (
     pure_state,
     random_density,
     random_hermitian,
+    tensor_power,
 )
 from obsavg.povm import OutcomeDistribution
 from obsavg.symspace import CopySpace, copy_average
 
 Z = np.diag([1.0, -1.0]).astype(complex)
+X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PLUS = pure_state([1.0, 1.0])
+
+
+def dense_canonical(a, rho, n):
+    """Oracle for the canonical route: eigh of the copy average on the copy space.
+
+    Eigenvalues closer than default_merge_tol are clustered by single
+    linkage; each cluster gives its mean eigenvalue, its eigenprojector and
+    the trace-rule probability on rho^(x)n.
+    """
+    a = np.asarray(a, dtype=complex)
+    w, v = np.linalg.eigh(copy_average(a, CopySpace(a.shape[0], n)))
+    cuts = np.nonzero(np.diff(w) > default_merge_tol(w))[0] + 1
+    groups = np.split(np.arange(w.size), cuts)
+    values = np.array([w[g].mean() for g in groups])
+    projectors = np.stack([v[:, g] @ v[:, g].conj().T for g in groups])
+    joint = tensor_power(rho, n)
+    probs = np.einsum("mij,ji->m", projectors, joint).real
+    return values, projectors, probs
 
 
 def test_canonical_povm_two_copy_z():
@@ -69,6 +94,107 @@ def test_canonical_povm_values_within_spectrum():
     p = canonical_povm(a, CopySpace(3, 2))
     assert p.values.min() >= a.lambda_min - 1e-12
     assert p.values.max() <= a.lambda_max + 1e-12
+
+
+@st.composite
+def canonical_instances(draw):
+    """(observable, state, n): generic or degenerate spectra, mixed or pure states.
+
+    Spectra: generic, all equal (identity-d), repeated values, or equally
+    spaced (pauli-z, spin1-z). An unrotated observable with an eigenstate
+    gives single-copy probabilities that are exactly 0.
+    """
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["generic", "identity", "repeated", "spaced"]))
+    lam = {
+        "generic": rng.uniform(-1.5, 1.5, d),
+        "identity": np.ones(d),
+        "repeated": rng.choice([-1.0, 0.5], d),
+        "spaced": np.linspace(1.0, -1.0, d) if d > 1 else np.ones(1),
+    }[kind]
+    # distinct type means at least 1e-3 apart keep the oracle's eigenvectors
+    # (and so its projectors) accurate to ~1e-13
+    types = itertools.combinations_with_replacement(range(d), n)
+    means = np.sort([lam[list(t)].sum() / n for t in types])
+    gaps = np.diff(means)
+    assume(np.all((gaps <= 1e-12) | (gaps >= 1e-3)))
+    if draw(st.booleans()):
+        u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    else:
+        u = np.eye(d)
+    a = (u * lam) @ u.conj().T
+    state = draw(st.sampled_from(["mixed", "pure", "eigenstate"]))
+    if state == "mixed":
+        rho = random_density(d, rng).matrix
+    elif state == "pure":
+        rho = pure_state(rng.standard_normal(d) + 1j * rng.standard_normal(d)).matrix
+    else:
+        rho = pure_state(u[:, rng.integers(d)]).matrix
+    return (a + a.conj().T) / 2.0, rho, n
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(canonical_instances())
+def test_type_route_matches_dense_oracle(instance):
+    a, rho, n = instance
+    values, projectors, probs = dense_canonical(a, rho, n)
+    report = estimate_canonical(a, rho, CopySpace(a.shape[0], n))
+    dist = report.distribution
+    assert len(dist) == values.size
+    assert np.abs(dist.values - values).max() <= 1e-12
+    assert np.abs(dist.probabilities - probs).max() <= 1e-12
+    # squared: near an eigenstate the root magnifies rounding noise
+    oracle_sq = np.clip(probs, 0.0, None) @ (values - expect(a, rho)) ** 2
+    assert abs(report.povm_error**2 - oracle_sq) <= 1e-12
+    povm = canonical_povm(a, CopySpace(a.shape[0], n))
+    assert np.abs(povm.values - values).max() <= 1e-12
+    assert np.abs(povm.elements - projectors).max() <= 1e-12
+
+
+def test_estimate_canonical_builds_nothing_on_the_copy_space():
+    # d=3, n=6: the dense element stack alone is 28 x 729^2 x 16 B = 227 MB
+    rng = np.random.default_rng(60)
+    a = Observable(random_hermitian(3, rng))
+    rho = random_density(3, rng)
+    tracemalloc.start()
+    try:
+        report = estimate_canonical(a, rho, CopySpace(3, 6), shots=1000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report.distribution) == 28
+    assert peak < 5 * 2**20
+
+
+def test_canonical_povm_stack_guard(monkeypatch):
+    monkeypatch.delenv("OBSAVG_DIM_CAP", raising=False)
+    tracemalloc.start()
+    try:
+        # D = 4096 passes the cap, but 13 elements of 4096^2 do not
+        with pytest.raises(DimensionCapError) as info:
+            canonical_povm(Z, CopySpace(2, 12))
+        _, refused_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        p = canonical_povm(Z, CopySpace(2, 10))
+        _, built_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert info.value.code == "DIM_CAP"
+    assert refused_peak < 2**20
+    assert p.n_outcomes == 11
+    # one stack, no second copy of it
+    assert built_peak < 1.5 * p.elements.nbytes
+
+
+def test_repeated_distribution_survives_subnormal_weights():
+    # p(-) = 0.001: the tail types' probabilities go subnormal near n = 100
+    rho = 0.999 * PLUS.matrix + 0.001 * pure_state([1.0, -1.0]).matrix
+    for n in (108, 140):
+        dist = repeated_measurement_distribution(X, rho, n)
+        assert len(dist) == n + 1
+        assert np.allclose(dist.values, np.linspace(-1.0, 1.0, n + 1), atol=1e-12)
 
 
 def test_canonical_error_examples():
@@ -132,6 +258,8 @@ def test_repeated_distribution_matches_canonical_povm():
         joint = canonical_povm(a, space).probabilities(rho)
         marginal = repeated_measurement_distribution(a, rho, n)
         assert total_variation(joint, marginal) <= 1e-9
+        types = estimate_canonical(a, rho, space).distribution
+        assert total_variation(types, marginal) <= 1e-9
 
 
 def test_repeated_distribution_moments():
