@@ -76,6 +76,7 @@ from .symspace import (
     invariant_basis,
     is_perm_invariant,
     lift,
+    pair_orbit_labels,
     permutation_operator,
     twirl,
 )

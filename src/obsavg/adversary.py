@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InfeasibleError, ObsavgError, PovmValidationError
 from .estimators import canonical_error
-from .linops import DensityMatrix, Observable, as_matrix, eigh
+from .linops import DensityMatrix, as_observable, as_state, eigh
 from .povm import UNBIASED_TOL, Povm, moment_inequality_floor
 from .symspace import CopySpace, copy_average
 
@@ -44,7 +44,7 @@ class AdversaryConfig:
     @classmethod
     def spanning_grid(cls, a, size: int = 8, **kwargs) -> "AdversaryConfig":
         """Evenly spaced grid across the observable's spectral range."""
-        obs = a if isinstance(a, Observable) else Observable(as_matrix(a))
+        obs = as_observable(a)
         if size < 2:
             raise ObsavgError("grid size must be >= 2", code="BAD_GRID")
         grid = np.linspace(obs.lambda_min, obs.lambda_max, size)
@@ -98,7 +98,7 @@ def project_unbiased_povm(a, space: CopySpace, value_grid,
         If the grid cannot support an unbiased POVM, or the iteration does
         not reach convergence_tol within max_iterations.
     """
-    obs = a if isinstance(a, Observable) else Observable(as_matrix(a))
+    obs = as_observable(a)
     values = np.asarray(value_grid, dtype=np.float64).reshape(-1)
     if values.size < 1 or not np.isfinite(values).all():
         raise ObsavgError("value grid must be nonempty and finite", code="BAD_GRID")
@@ -312,7 +312,7 @@ def compare(p: Povm, a, rho) -> ComparisonReport:
     mean a competing unbiased POVM beats the collective spectral optimum,
     which falsifies the implementation rather than the bound.
     """
-    obs = a if isinstance(a, Observable) else Observable(as_matrix(a))
+    obs = as_observable(a)
     p.require_valid()
     space = p.space
     if space is None:
@@ -333,7 +333,7 @@ def compare(p: Povm, a, rho) -> ComparisonReport:
             UserWarning,
             stacklevel=2,
         )
-    state = rho if isinstance(rho, DensityMatrix) else DensityMatrix(as_matrix(rho))
+    state = as_state(rho)
     adv_err = p.estimation_error(obs, state)
     can_err = canonical_error(obs, state, space.n_copies)
     return ComparisonReport(
@@ -358,7 +358,7 @@ def run_trials(a, space: CopySpace, config: AdversaryConfig,
     """
     if n_trials < 1:
         raise ObsavgError("n_trials must be >= 1", code="BAD_GRID")
-    obs = a if isinstance(a, Observable) else Observable(as_matrix(a))
+    obs = as_observable(a)
     rows: list[dict] = []
     gaps: list[float] = []
     residuals: list[float] = []

@@ -40,7 +40,7 @@ from .polarization import (
     symmetrized_product_sum,
 )
 from .povm import Povm
-from .symspace import CopySpace, copy_average, invariant_basis, twirl
+from .symspace import CopySpace, copy_average, twirl
 
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -266,11 +266,10 @@ def _cmd_sample(opt: dict) -> int:
 def _cmd_canonical(opt: dict) -> int:
     obs = _load_observable(opt["observable"])
     state = _load_state(opt["state"])
-    space = CopySpace(obs.dim, opt["copies"])
     report = estimate_canonical(
         obs,
         state,
-        space,
+        opt["copies"],
         shots=opt["shots"],
         seed=opt["seed"],
         merge_tol=opt["merge_tol"],
@@ -335,7 +334,7 @@ def _cmd_lemma_demo(opt: dict) -> int:
         "n_copies": n,
         "seed": seed,
         "n_probes": opt["probes"],
-        "invariant_basis_size": len(invariant_basis(space)),
+        "invariant_basis_size": rec.n_basis,
         "diagonal_reconstruction_error": diag_err,
         "moment_reconstruction_error": moment_err,
         "moment_condition_number": rec.condition_number,

@@ -14,7 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionCapError, DimensionMismatchError
-from .linops import DensityMatrix, Observable, as_matrix, default_dim_cap, tensor_power
+from .linops import (
+    DensityMatrix,
+    Observable,
+    as_observable,
+    as_state,
+    default_dim_cap,
+    tensor_power,
+)
 from .povm import OutcomeDistribution, Povm
 from .symspace import CopySpace
 
@@ -82,15 +89,27 @@ def _type_classes(eigenvalues: np.ndarray, n: int,
     Lists the C(n+d-1, d-1) types by stars and bars and clusters their means
     by single linkage at merge_tol (default: default_merge_tol of the means).
     Each outcome's value is the mean of its eigenvalues on the copy space,
-    every type mean counted with its multiplicity.
+    every type mean counted with its multiplicity. Raises DimensionCapError,
+    before listing any type, when the (types, d) count table would hold more
+    entries than one cap-sized matrix.
     """
     d = eigenvalues.size
-    bars = list(itertools.combinations(range(n + d - 1), d - 1))
-    bars = np.array(bars, dtype=np.int64).reshape(len(bars), d - 1)
+    n_types = math.comb(n + d - 1, d - 1)
+    cap = default_dim_cap()
+    if n_types * d > cap * cap:
+        raise DimensionCapError(
+            f"{n_types} types of {n} copies of a {d}-level system exceed "
+            f"{cap}^2 table entries",
+            details={"types": n_types, "local_dim": d, "n_copies": n, "cap": cap},
+        )
+    bars = itertools.combinations(range(n + d - 1), d - 1)
+    bars = np.fromiter(itertools.chain.from_iterable(bars), dtype=np.int64,
+                       count=n_types * (d - 1)).reshape(n_types, d - 1)
     edges = np.pad(bars, ((0, 0), (1, 1)), constant_values=((0, 0), (-1, n + d - 1)))
     counts = np.diff(edges, axis=1) - 1
     means = counts @ eigenvalues / n
-    log_factorial = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
+    log_factorial = np.fromiter((math.lgamma(k + 1.0) for k in range(n + 1)),
+                                dtype=np.float64, count=n + 1)
     log_mult = log_factorial[n] - log_factorial[counts].sum(axis=1)
     if merge_tol is None:
         merge_tol = default_merge_tol(means)
@@ -103,22 +122,14 @@ def _type_classes(eigenvalues: np.ndarray, n: int,
     return _TypeClasses(counts, log_mult, labels, values)
 
 
-def _as_observable(a) -> Observable:
-    return a if isinstance(a, Observable) else Observable(as_matrix(a))
-
-
 def _local_observable(a, space: CopySpace) -> Observable:
     """a as an Observable on one copy of space."""
-    obs = _as_observable(a)
+    obs = as_observable(a)
     if obs.dim != space.local_dim:
         raise DimensionMismatchError(
             f"observable dim {obs.dim} does not match local_dim {space.local_dim}"
         )
     return obs
-
-
-def _as_state(rho) -> DensityMatrix:
-    return rho if isinstance(rho, DensityMatrix) else DensityMatrix(as_matrix(rho))
 
 
 def _spectral_probabilities(obs: Observable, state: DensityMatrix) -> np.ndarray:
@@ -191,15 +202,15 @@ def canonical_error(a, rho, n_copies: int) -> float:
     """Closed-form optimal error sqrt((<A^2> - <A>^2) / n)."""
     if n_copies < 1:
         raise DimensionMismatchError(f"n_copies must be >= 1, got {n_copies}")
-    obs = _as_observable(a)
-    state = _as_state(rho)
+    obs = as_observable(a)
+    state = as_state(rho)
     return float(np.sqrt(obs.variance(state) / n_copies))
 
 
 def single_copy_distribution(a, rho, merge_tol: float | None = None) -> OutcomeDistribution:
     """Spectral outcome distribution of one copy, eigenvalues clustered."""
-    obs = _as_observable(a)
-    probs = _spectral_probabilities(obs, _as_state(rho))
+    obs = as_observable(a)
+    probs = _spectral_probabilities(obs, as_state(rho))
     w = obs.eigenvalues
     if merge_tol is None:
         merge_tol = default_merge_tol(w)
@@ -217,7 +228,7 @@ def repeated_measurement_distribution(a, rho, n_copies: int,
     """
     if n_copies < 1:
         raise DimensionMismatchError(f"n_copies must be >= 1, got {n_copies}")
-    obs = _as_observable(a)
+    obs = as_observable(a)
     if merge_tol is None:
         merge_tol = default_merge_tol(obs.eigenvalues)
     base = single_copy_distribution(obs, rho, merge_tol=merge_tol)
@@ -298,7 +309,7 @@ def _sample_stats(dist: OutcomeDistribution, shots: int,
     return mean, float(np.sqrt(var))
 
 
-def estimate_canonical(a, rho, space: CopySpace, shots: int = 0,
+def estimate_canonical(a, rho, n_copies: int, shots: int = 0,
                        seed: int | None = 0,
                        merge_tol: float | None = None) -> EstimationReport:
     """Run the collective route: canonical outcome law, its exact error, optional sampling.
@@ -306,26 +317,36 @@ def estimate_canonical(a, rho, space: CopySpace, shots: int = 0,
     The canonical measurement's outcome law on rho^(x)n is computed over
     type classes: outcome m has probability sum_k multinomial(n; k)
     prod_i p_i^k_i over its types k, with p_i = <u_i|rho|u_i>. No operator
-    on the copy space is formed; canonical_povm builds the elements.
+    on the copy space is formed, so the cost is bounded by the type count,
+    not by d**n; canonical_povm builds the elements.
+
+    Raises
+    ------
+    DimensionCapError
+        If the type table (types x local_dim entries) would hold more
+        entries than one cap-sized matrix.
     """
-    obs = _local_observable(a, space)
-    state = _as_state(rho)
+    if n_copies < 1:
+        raise DimensionMismatchError(f"n_copies must be >= 1, got {n_copies}")
+    obs = as_observable(a)
+    state = as_state(rho)
     p = np.clip(_spectral_probabilities(obs, state), 0.0, None)
-    classes = _type_classes(obs.eigenvalues, space.n_copies, merge_tol)
+    classes = _type_classes(obs.eigenvalues, n_copies, merge_tol)
     # a type drawing an outcome of probability 0 is impossible; 0 * log 0 = 0
     seen = p > 0.0
     log_terms = classes.log_mult + classes.counts[:, seen] @ np.log(p[seen])
     impossible = (classes.counts[:, ~seen] > 0).any(axis=1)
     terms = np.where(impossible, 0.0, np.exp(log_terms))
     probs = np.bincount(classes.labels, terms, minlength=classes.values.size)
+    # the same 1e-9 per summed term as Povm.probabilities, over types, not d**n
     dist = OutcomeDistribution(classes.values, probs,
-                               sum_tol=max(1e-10, space.total_dim * 1e-9))
+                               sum_tol=max(1e-10, classes.labels.size * 1e-9))
     expected = obs.expectation(state.matrix)
     report = EstimationReport(
-        local_dim=space.local_dim,
-        n_copies=space.n_copies,
+        local_dim=obs.dim,
+        n_copies=n_copies,
         expected_value=expected,
-        closed_form_error=canonical_error(obs, state, space.n_copies),
+        closed_form_error=canonical_error(obs, state, n_copies),
         povm_error=dist.rms_about(expected),
         distribution=dist,
     )
@@ -345,8 +366,8 @@ def simulate_repeated(a, rho, n_copies: int, shots: int, seed: int | None = 0,
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    obs = _as_observable(a)
-    state = _as_state(rho)
+    obs = as_observable(a)
+    state = as_state(rho)
     dist = repeated_measurement_distribution(obs, state, n_copies, merge_tol=merge_tol)
     mean, stddev = _sample_stats(dist, shots, seed)
     return EstimationReport(

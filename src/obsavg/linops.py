@@ -270,6 +270,16 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim})"
 
 
+def as_observable(a) -> Observable:
+    """a itself if it is an Observable, else a validated Observable of its matrix."""
+    return a if isinstance(a, Observable) else Observable(as_matrix(a))
+
+
+def as_state(rho) -> DensityMatrix:
+    """rho itself if it is a DensityMatrix, else a validated DensityMatrix of its matrix."""
+    return rho if isinstance(rho, DensityMatrix) else DensityMatrix(as_matrix(rho))
+
+
 def pure_state(vec) -> DensityMatrix:
     """Density matrix of a (non-normalized) state vector."""
     v = np.asarray(vec, dtype=np.complex128).reshape(-1)

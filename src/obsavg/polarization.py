@@ -23,8 +23,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConditioningError, DimensionCapError, DimensionMismatchError
-from .linops import DensityMatrix, as_matrix, random_density
-from .symspace import CopySpace, invariant_basis
+from .linops import DensityMatrix, as_matrix, as_state, random_density
+from .symspace import CopySpace, orbit_sums, pair_orbit_labels
 
 MAX_LOCAL_DIM = 3
 MAX_COPIES = 4
@@ -235,21 +235,20 @@ def reconstruct_from_moments(
     """
     _check_caps(local_dim, n_copies)
     space = CopySpace(local_dim, n_copies)
-    basis = invariant_basis(space)
-    n_basis = len(basis)
+    labels = pair_orbit_labels(space)
+    n_basis = int(labels.max()) + 1
     probes = list(probes)
     if len(probes) < n_basis:
         raise ConditioningError(
             f"need at least {n_basis} probe states, got {len(probes)}",
             details={"n_basis": n_basis, "n_probes": len(probes)},
         )
-    stacked = np.stack(basis)
     design = np.empty((len(probes), n_basis), dtype=np.complex128)
     y = np.empty(len(probes), dtype=np.complex128)
     for i, probe in enumerate(probes):
-        state = probe if isinstance(probe, DensityMatrix) else DensityMatrix(as_matrix(probe))
-        joint = state.tensor_power(n_copies)
-        design[i] = np.einsum("aij,ji->a", stacked, joint)
+        state = as_state(probe)
+        # Tr[B_a joint] sums joint[j, i] over the pairs (i, j) of orbit a
+        design[i] = orbit_sums(state.tensor_power(n_copies).T, space)
         y[i] = complex(oracle(state))
     singulars = np.linalg.svd(design, compute_uv=False)
     rank = int(np.sum(singulars > singulars[0] * 1e-10))
@@ -261,7 +260,7 @@ def reconstruct_from_moments(
         )
     condition = float(singulars[0] / singulars[-1])
     coeffs, *_ = np.linalg.lstsq(design, y, rcond=None)
-    matrix = np.tensordot(coeffs, stacked, axes=1)
+    matrix = coeffs[labels]
     residual = float(np.linalg.norm(design @ coeffs - y))
     return MomentReconstruction(
         matrix=matrix,

@@ -14,9 +14,8 @@ import numpy as np
 from .errors import DimensionMismatchError, PovmValidationError, StateValidationError
 from .linops import (
     DEFAULT_TOL,
-    DensityMatrix,
-    Observable,
     as_matrix,
+    as_state,
     expect,
     hermitian_defect,
 )
@@ -218,10 +217,7 @@ class Povm:
 
     def _joint_state(self, state) -> np.ndarray:
         """Coerce a single-copy or joint state to a joint density matrix."""
-        if isinstance(state, DensityMatrix):
-            rho = state
-        else:
-            rho = DensityMatrix(as_matrix(state))
+        rho = as_state(state)
         if rho.dim == self.dim:
             return rho.matrix
         if self.space is not None and rho.dim == self.space.local_dim:
@@ -257,7 +253,7 @@ class Povm:
     def unbiasedness_residual(self, observable) -> float:
         """Max-norm distance between the first moment and the copy average."""
         space = self._require_space()
-        a = observable.matrix if isinstance(observable, Observable) else as_matrix(observable)
+        a = as_matrix(observable)
         target = copy_average(a, space)
         return float(np.abs(self.first_moment() - target).max())
 
@@ -272,11 +268,8 @@ class Povm:
         evaluated through the copy average in the joint case.
         """
         space = self._require_space()
-        a = observable.matrix if isinstance(observable, Observable) else as_matrix(observable)
-        if isinstance(state, DensityMatrix):
-            rho = state
-        else:
-            rho = DensityMatrix(as_matrix(state))
+        a = as_matrix(observable)
+        rho = as_state(state)
         if rho.dim == space.local_dim:
             center = expect(a, rho.matrix)
         elif rho.dim == self.dim:

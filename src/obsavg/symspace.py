@@ -14,12 +14,11 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from . import _kernels
-from .errors import DimensionCapError, DimensionMismatchError, OperatorValidationError
+from .errors import DimensionMismatchError, OperatorValidationError
 from .linops import DEFAULT_TOL, as_matrix, check_dim_cap
 
-# factorial safety valve for the permutation-sum operations
-TWIRL_MAX_COPIES = 8
+# index pairs per row block while labelling orbits: bounds the temporaries
+_BLOCK_PAIRS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -105,15 +104,6 @@ def _digit_table(local_dim: int, n_copies: int) -> tuple[np.ndarray, np.ndarray]
     return digits, weights
 
 
-@lru_cache(maxsize=16)
-def _gather_table(n_copies: int) -> np.ndarray:
-    # row p is the inverse of permutation p as a gather map over sites
-    perms = np.array(list(itertools.permutations(range(n_copies))), dtype=np.int64)
-    gathers = np.argsort(perms, axis=1)
-    gathers.setflags(write=False)
-    return gathers
-
-
 def composite_index_map(sigma: Permutation, space: CopySpace) -> np.ndarray:
     """t[i] = composite index of the permuted basis vector for input index i."""
     if sigma.n != space.n_copies:
@@ -159,30 +149,72 @@ def copy_average(a, space: CopySpace) -> np.ndarray:
     return out
 
 
-def _check_twirl_size(space: CopySpace) -> None:
-    if space.n_copies > TWIRL_MAX_COPIES:
-        raise DimensionCapError(
-            f"permutation-sum operations support at most {TWIRL_MAX_COPIES} copies, "
-            f"got {space.n_copies}",
-            details={"n_copies": space.n_copies, "cap": TWIRL_MAX_COPIES},
-        )
+@lru_cache(maxsize=4)
+def pair_orbit_labels(space: CopySpace) -> np.ndarray:
+    """Orbit number of every index pair (i, j) under the permutation action.
 
+    A permutation moves the per-site symbols (digit_i[k], digit_j[k]) of a
+    pair between sites, so two pairs share an orbit exactly when their
+    symbol multisets agree. The orbit's smallest pair code i * D + j belongs
+    to its pair with the symbols sorted ascending over the sites; those
+    sorted symbols follow from how often each symbol occurs, which is a
+    product of 0/1 digit-indicator matrices. Orbits are numbered 0..K-1 in
+    ascending order of that smallest code, the order of invariant_basis.
 
-def twirl(x, space: CopySpace) -> np.ndarray:
-    """Group average (1/n!) sum_sigma P_sigma^dagger x P_sigma.
-
-    Projects onto the permutation-invariant operator subspace; implemented as
-    index gathers rather than matrix products, so the cost is n! * total_dim^2.
+    Returns a read-only (D, D) integer array, cached for the last four
+    spaces. The work is O(d^2 n D^2) and the temporaries are bounded by
+    row blocks, so the dimension cap bounds both.
     """
-    _check_twirl_size(space)
+    d, n, dim = space.local_dim, space.n_copies, space.total_dim
+    digits, weights = _digit_table(d, n)
+    # place[m]: summed place values of the m most significant sites
+    place = np.concatenate([[0], np.cumsum(weights)])
+    indicator = [(digits == a).astype(np.float64) for a in range(d)]
+    labels = np.empty((dim, dim), dtype=np.int64)
+    reps = []
+    step = max(1, _BLOCK_PAIRS // dim)
+    for lo in range(0, dim, step):
+        hi = min(lo + step, dim)
+        # sorted ascending, symbol (a, b) fills the sites [start, end), where
+        # end - start counts the sites with digit a in i and digit b in j
+        start = np.zeros((hi - lo, dim), dtype=np.int64)
+        code = np.zeros_like(start)
+        for a, b in itertools.product(range(d), repeat=2):
+            end = start + (indicator[a][lo:hi] @ indicator[b].T).astype(np.int64)
+            code += (a * dim + b) * (place[end] - place[start])
+            start = end
+        labels[lo:hi] = code
+        # an orbit's representative is the pair whose code is its own
+        flat = np.arange(lo * dim, hi * dim)
+        reps.append(flat[code.reshape(-1) == flat])
+    reps = np.concatenate(reps)
+    for lo in range(0, dim, step):
+        labels[lo:lo + step] = np.searchsorted(reps, labels[lo:lo + step])
+    labels.setflags(write=False)
+    return labels
+
+
+def orbit_sums(x, space: CopySpace) -> np.ndarray:
+    """Sum of the entries of x over each index-pair orbit, in pair_orbit_labels order."""
     m = as_matrix(x)
     if m.shape[0] != space.total_dim:
         raise DimensionMismatchError(
             f"matrix dim {m.shape[0]} does not match total_dim {space.total_dim}"
         )
-    digits, weights = _digit_table(space.local_dim, space.n_copies)
-    gathers = _gather_table(space.n_copies)
-    return _kernels.twirl_mean(m, digits, gathers, weights)
+    labels = pair_orbit_labels(space).reshape(-1)
+    entries = m.reshape(-1)
+    return np.bincount(labels, entries.real) + 1j * np.bincount(labels, entries.imag)
+
+
+def twirl(x, space: CopySpace) -> np.ndarray:
+    """Group average (1/n!) sum_sigma P_sigma^dagger x P_sigma.
+
+    Projects onto the permutation-invariant operator subspace: every entry
+    becomes the mean of x over its index-pair orbit.
+    """
+    labels = pair_orbit_labels(space)
+    sizes = np.bincount(labels.reshape(-1))
+    return (orbit_sums(x, space) / sizes)[labels]
 
 
 def is_perm_invariant(x, space: CopySpace, tol: float = DEFAULT_TOL) -> bool:
@@ -208,16 +240,5 @@ def invariant_basis(space: CopySpace) -> list[np.ndarray]:
     The returned list is a basis of the permutation-invariant matrix subspace,
     ordered by the smallest composite pair code in each orbit.
     """
-    _check_twirl_size(space)
-    digits, weights = _digit_table(space.local_dim, space.n_copies)
-    gathers = _gather_table(space.n_copies)
-    codes = _kernels.pair_min_codes(digits, gathers, weights)
-    _, inverse = np.unique(codes, return_inverse=True)
-    inverse = inverse.reshape(codes.shape)
-    count = int(inverse.max()) + 1
-    basis = []
-    for k in range(count):
-        b = np.zeros(codes.shape, dtype=np.complex128)
-        b[inverse == k] = 1.0
-        basis.append(b)
-    return basis
+    labels = pair_orbit_labels(space)
+    return [(labels == k).astype(np.complex128) for k in range(int(labels.max()) + 1)]

@@ -141,6 +141,17 @@ def test_canonical_subcommand(tmp_path, plus_state_file, capsys):
     assert csv_path.read_text().startswith("value,probability\n")
 
 
+def test_canonical_beyond_the_dimension_cap(plus_state_file, capsys, monkeypatch):
+    # 2**13 = 8192 exceeds the default cap, but the outcome law has 14 types
+    monkeypatch.delenv("OBSAVG_DIM_CAP", raising=False)
+    code = main(["canonical", "--observable", "pauli-z", "--state", plus_state_file,
+                 "--copies", "13"])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(report["outcome_values"]) == 14
+    assert report["povm_error"] == pytest.approx(13**-0.5, abs=1e-12)
+
+
 def test_canonical_reports_byte_identical(tmp_path, plus_state_file):
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
     argv = ["canonical", "--observable", "pauli-z", "--state", plus_state_file,

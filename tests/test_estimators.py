@@ -1,5 +1,7 @@
 import itertools
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from obsavg.estimators import (
     total_variation,
 )
 from obsavg.linops import (
+    DensityMatrix,
     Observable,
     expect,
     pure_state,
@@ -140,7 +143,7 @@ def canonical_instances(draw):
 def test_type_route_matches_dense_oracle(instance):
     a, rho, n = instance
     values, projectors, probs = dense_canonical(a, rho, n)
-    report = estimate_canonical(a, rho, CopySpace(a.shape[0], n))
+    report = estimate_canonical(a, rho, n)
     dist = report.distribution
     assert len(dist) == values.size
     assert np.abs(dist.values - values).max() <= 1e-12
@@ -160,7 +163,7 @@ def test_estimate_canonical_builds_nothing_on_the_copy_space():
     rho = random_density(3, rng)
     tracemalloc.start()
     try:
-        report = estimate_canonical(a, rho, CopySpace(3, 6), shots=1000, seed=1)
+        report = estimate_canonical(a, rho, 6, shots=1000, seed=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -258,7 +261,7 @@ def test_repeated_distribution_matches_canonical_povm():
         joint = canonical_povm(a, space).probabilities(rho)
         marginal = repeated_measurement_distribution(a, rho, n)
         assert total_variation(joint, marginal) <= 1e-9
-        types = estimate_canonical(a, rho, space).distribution
+        types = estimate_canonical(a, rho, n).distribution
         assert total_variation(types, marginal) <= 1e-9
 
 
@@ -290,13 +293,13 @@ def test_default_merge_tol_scales():
 
 
 def test_estimate_canonical_report():
-    report = estimate_canonical(Z, PLUS, CopySpace(2, 4), shots=0)
+    report = estimate_canonical(Z, PLUS, 4, shots=0)
     assert report.closed_form_error == pytest.approx(0.5)
     assert report.povm_error == pytest.approx(0.5, abs=1e-12)
     assert report.expected_value == pytest.approx(0.0, abs=1e-12)
     d = report.to_dict()
     assert "shots" not in d and "outcome_values" in d
-    report2 = estimate_canonical(Z, PLUS, CopySpace(2, 4), shots=200, seed=3)
+    report2 = estimate_canonical(Z, PLUS, 4, shots=200, seed=3)
     assert report2.sample_mean is not None
     d2 = report2.to_dict()
     assert list(d2)[:4] == [
@@ -305,6 +308,40 @@ def test_estimate_canonical_report():
         "expected_value",
         "closed_form_error",
     ]
+
+
+@pytest.mark.parametrize("n", [13, 1000])
+def test_canonical_route_is_not_bounded_by_the_copy_dimension(n, monkeypatch):
+    # 2**n is far above the dimension cap; Z's law on n copies is a binomial
+    monkeypatch.delenv("OBSAVG_DIM_CAP", raising=False)
+    rho = DensityMatrix(np.diag([0.3, 0.7]))
+    up, down = Fraction(rho.matrix[0, 0].real), Fraction(rho.matrix[1, 1].real)
+    exact = [float(math.comb(n, k) * up**k * down ** (n - k)) for k in range(n + 1)]
+    dist = estimate_canonical(Z, rho, n).distribution
+    assert np.abs(dist.values - (2.0 * np.arange(n + 1) - n) / n).max() <= 1e-15
+    np.testing.assert_allclose(dist.probabilities, exact, rtol=1e-10, atol=1e-300)
+
+
+def test_canonical_type_guard_refuses_before_listing(monkeypatch):
+    # the (types, d) count table may hold at most cap^2 = 64^2 entries
+    monkeypatch.setenv("OBSAVG_DIM_CAP", "64")
+    # distinct type means: no two types merge into one outcome
+    generic3, mixed3 = np.diag([0.0, 1.0, np.sqrt(2.0)]), np.eye(3) / 3.0
+    assert len(estimate_canonical(Z, PLUS, 2047).distribution) == 2048
+    assert len(estimate_canonical(generic3, mixed3, 50).distribution) == math.comb(52, 2)
+    for a, rho, n in [(Z, PLUS, 2048), (generic3, mixed3, 51)]:
+        with pytest.raises(DimensionCapError):
+            estimate_canonical(a, rho, n)
+    monkeypatch.delenv("OBSAVG_DIM_CAP")
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionCapError) as info:
+            estimate_canonical(Z, PLUS, 10**12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert info.value.code == "DIM_CAP"
+    assert peak < 2**20
 
 
 def test_simulate_repeated_eigenstate_is_exact():

@@ -14,6 +14,7 @@ from obsavg.symspace import (
     invariant_basis,
     is_perm_invariant,
     lift,
+    pair_orbit_labels,
     permutation_operator,
     transposition,
     twirl,
@@ -142,18 +143,35 @@ def test_twirl_examples():
 
 def test_twirl_matches_conjugation_oracle_and_is_projection():
     rng = np.random.default_rng(34)
-    space = CopySpace(2, 3)
-    x = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    acc = np.zeros_like(x)
-    for sigma in all_permutations(3):
-        p = permutation_operator(sigma, space)
-        acc += p.conj().T @ x @ p
-    oracle = acc / math.factorial(3)
-    out = twirl(x, space)
-    assert np.abs(out - oracle).max() < 1e-13
-    assert np.abs(twirl(out, space) - out).max() < 1e-13
-    assert np.trace(out) == pytest.approx(np.trace(x))
-    assert is_perm_invariant(out, space, tol=1e-12)
+    for d, n in [(2, 3), (3, 2), (2, 4), (1, 3)]:
+        space = CopySpace(d, n)
+        dim = space.total_dim
+        x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        acc = np.zeros_like(x)
+        for sigma in all_permutations(n):
+            p = permutation_operator(sigma, space)
+            acc += p.conj().T @ x @ p
+        oracle = acc / math.factorial(n)
+        out = twirl(x, space)
+        assert np.abs(out - oracle).max() < 1e-13
+        assert np.abs(twirl(out, space) - out).max() < 1e-13
+        assert np.trace(out) == pytest.approx(np.trace(x))
+        assert is_perm_invariant(out, space, tol=1e-12)
+
+
+def test_pair_orbit_labels_match_bruteforce_orbits():
+    for d, n in [(1, 3), (2, 2), (2, 3), (3, 3)]:
+        space = CopySpace(d, n)
+        dim = space.total_dim
+        # orbit code: the smallest pair code i * dim + j over all relabelings
+        codes = np.full((dim, dim), np.iinfo(np.int64).max)
+        for sigma in all_permutations(n):
+            t = composite_index_map(sigma, space)
+            np.minimum(codes, t[:, None] * dim + t[None, :], out=codes)
+        _, oracle = np.unique(codes, return_inverse=True)
+        labels = pair_orbit_labels(space)
+        assert np.array_equal(labels, oracle.reshape(dim, dim))
+        assert not labels.flags.writeable
 
 
 def test_twirl_fixes_copy_average():
@@ -164,9 +182,16 @@ def test_twirl_fixes_copy_average():
     assert np.abs(twirl(avg, space) - avg).max() < 1e-13
 
 
-def test_twirl_copy_cap():
-    with pytest.raises(DimensionCapError):
-        twirl(np.eye(2**9), CopySpace(2, 9))
+def test_twirl_beyond_nine_factorial_permutations():
+    # n=9: 362880 permutations; the orbit labels never enumerate them
+    rng = np.random.default_rng(37)
+    space = CopySpace(2, 9)
+    x = random_hermitian(space.total_dim, rng)
+    out = twirl(x, space)
+    assert np.abs(twirl(out, space) - out).max() < 1e-13
+    assert is_perm_invariant(out, space, tol=1e-12)
+    avg = copy_average(random_hermitian(2, rng), space)
+    assert np.abs(twirl(avg, space) - avg).max() < 1e-13
 
 
 def test_is_perm_invariant_cases():
@@ -182,7 +207,7 @@ def test_is_perm_invariant_cases():
 
 @pytest.mark.parametrize(
     "d,n",
-    [(2, 2), (2, 3), (3, 2), (1, 3)],
+    [(2, 2), (2, 3), (3, 2), (1, 3), (2, 6), (3, 4)],
 )
 def test_invariant_basis_count_matches_multiset_formula(d, n):
     # dimension of the invariant matrix subspace: multisets of size n over d*d symbols
