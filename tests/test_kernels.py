@@ -1,39 +1,13 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 
-from obsavg import _kernels
 from obsavg.symspace import (
     CopySpace,
-    _digit_table,
-    _gather_table,
     all_permutations,
-    composite_index_map,
+    orbit_sums,
+    pair_orbit_labels,
     permutation_operator,
+    twirl,
 )
-
-
-def _tables(d, n):
-    digits, weights = _digit_table(d, n)
-    gathers = _gather_table(n)
-    return digits, gathers, weights
-
-
-def test_selected_kernels_match_numpy_reference():
-    rng = np.random.default_rng(21)
-    for d, n in [(2, 2), (2, 4), (3, 3)]:
-        digits, gathers, weights = _tables(d, n)
-        dim = d**n
-        x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        got = _kernels.twirl_mean(x, digits, gathers, weights)
-        ref = _kernels.twirl_mean_numpy(x, digits, gathers, weights)
-        assert np.abs(got - ref).max() < 1e-13
-        assert np.array_equal(
-            _kernels.pair_min_codes(digits, gathers, weights),
-            _kernels.pair_min_codes_numpy(digits, gathers, weights),
-        )
 
 
 def test_twirl_mean_matches_matrix_conjugation_oracle():
@@ -47,34 +21,9 @@ def test_twirl_mean_matches_matrix_conjugation_oracle():
         p = permutation_operator(sigma, space)
         acc += p.conj().T @ x @ p
     oracle = acc / 6.0
-    digits, gathers, weights = _tables(d, n)
-    assert np.abs(_kernels.twirl_mean(x, digits, gathers, weights) - oracle).max() < 1e-13
-
-
-def test_pair_min_codes_matches_bruteforce_orbits():
-    d, n = 2, 2
-    space = CopySpace(d, n)
-    dim = space.total_dim
-    maps = [composite_index_map(s, space) for s in all_permutations(n)]
-    oracle = np.full((dim, dim), np.iinfo(np.int64).max)
-    for t in maps:
-        for i in range(dim):
-            for j in range(dim):
-                oracle[i, j] = min(oracle[i, j], t[i] * dim + t[j])
-    digits, gathers, weights = _tables(d, n)
-    assert np.array_equal(_kernels.pair_min_codes(digits, gathers, weights), oracle)
-
-
-def test_pure_numpy_env_flag_disables_numba():
-    env = dict(os.environ, OBSAVG_PURE_NUMPY="1")
-    code = (
-        "from obsavg import _kernels; "
-        "assert not _kernels.HAVE_NUMBA; "
-        "assert _kernels.twirl_mean is _kernels.twirl_mean_numpy"
-    )
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
-
-
-def test_numba_path_is_active_by_default():
-    # the environment ships numba; the accelerated path should be selected
-    assert _kernels.HAVE_NUMBA
+    # the twirl mean: every entry is the mean of x over its index-pair orbit
+    labels = pair_orbit_labels(space)
+    sizes = np.bincount(labels.reshape(-1))
+    orbit_mean = (orbit_sums(x, space) / sizes)[labels]
+    assert np.abs(orbit_mean - oracle).max() < 1e-13
+    assert np.abs(twirl(x, space) - oracle).max() < 1e-13
