@@ -57,6 +57,7 @@ from .polarization import (
     MomentReconstruction,
     coefficient_extract,
     product_expectation,
+    product_grid_expectations,
     random_probe_states,
     reconstruct_from_diagonal,
     reconstruct_from_moments,

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,7 @@ from .linops import (
 from .polarization import (
     MixtureSpec,
     coefficient_extract,
-    product_expectation,
+    product_grid_expectations,
     random_probe_states,
     reconstruct_from_diagonal,
     reconstruct_from_moments,
@@ -160,19 +160,6 @@ def _emit(report: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _emit_csv(csv_text: str, path: str | None) -> None:
-    if path is not None:
-        jsonio.write_text(csv_text, path)
-
-
-@dataclass
-class RunConfig:
-    """A parsed CLI invocation: the subcommand plus its option mapping."""
-
-    command: str
-    options: dict
-
-
 def _cmd_theta(opt: dict) -> int:
     obs = _load_observable(opt["observable"])
     space = CopySpace(obs.dim, opt["copies"])
@@ -259,7 +246,7 @@ def _cmd_sample(opt: dict) -> int:
              "frequency": (c / opt["shots"]) if opt["shots"] else 0.0}
             for v, c in zip(povm.values, counts)
         ]
-        _emit_csv(jsonio.rows_csv(rows), opt["csv"])
+        jsonio.write_text(jsonio.rows_csv(rows), opt["csv"])
     return 0
 
 
@@ -276,7 +263,7 @@ def _cmd_canonical(opt: dict) -> int:
     )
     _emit(report.to_dict(), opt["out"])
     if opt["csv"] is not None and report.distribution is not None:
-        _emit_csv(jsonio.distribution_csv(report.distribution), opt["csv"])
+        jsonio.write_text(jsonio.distribution_csv(report.distribution), opt["csv"])
     return 0
 
 
@@ -293,7 +280,7 @@ def _cmd_simulate(opt: dict) -> int:
     )
     _emit(report.to_dict(), opt["out"])
     if opt["csv"] is not None and report.distribution is not None:
-        _emit_csv(jsonio.distribution_csv(report.distribution), opt["csv"])
+        jsonio.write_text(jsonio.distribution_csv(report.distribution), opt["csv"])
     return 0
 
 
@@ -302,17 +289,12 @@ def _cmd_lemma_demo(opt: dict) -> int:
     rng = np.random.default_rng(seed)
     space = CopySpace(d, n)
     dim = space.total_dim
+    n_probes = opt["probes"] or math.comb(n + d * d - 1, n) + 6
 
-    # full-matrix recovery from diagonal product values
     target = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    recovered = reconstruct_from_diagonal(
-        lambda factors: product_expectation(target, factors), d, n
-    )
-    diag_err = float(np.abs(recovered - target).max())
-
-    # invariant-operator recovery from tensor-power moments
+    # invariant-operator recovery from moments; first, so too few probes fail early
     invariant_target = copy_average(random_hermitian(d, rng), space)
-    probes = random_probe_states(d, opt["probes"], seed=seed + 1)
+    probes = random_probe_states(d, n_probes, seed=seed + 1)
     rec = reconstruct_from_moments(
         lambda rho: trace_product(invariant_target, tensor_power(rho.matrix, n)),
         d,
@@ -320,6 +302,12 @@ def _cmd_lemma_demo(opt: dict) -> int:
         probes,
     )
     moment_err = float(np.abs(rec.matrix - invariant_target).max())
+
+    # full-matrix recovery from diagonal product values
+    recovered = reconstruct_from_diagonal(
+        lambda table: product_grid_expectations(target, table, n), d, n
+    )
+    diag_err = float(np.abs(recovered - target).max())
 
     # multilinear coefficient identity on random vectors
     vectors = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(n)]
@@ -333,7 +321,7 @@ def _cmd_lemma_demo(opt: dict) -> int:
         "local_dim": d,
         "n_copies": n,
         "seed": seed,
-        "n_probes": opt["probes"],
+        "n_probes": n_probes,
         "invariant_basis_size": rec.n_basis,
         "diagonal_reconstruction_error": diag_err,
         "moment_reconstruction_error": moment_err,
@@ -361,7 +349,7 @@ def _cmd_adversary(opt: dict) -> int:
     rows, summary = run_trials(obs, space, config, opt["trials"])
     _emit(summary, opt["out"])
     if opt["csv"] is not None:
-        _emit_csv(jsonio.rows_csv(rows), opt["csv"])
+        jsonio.write_text(jsonio.rows_csv(rows), opt["csv"])
     return 0
 
 
@@ -442,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=_positive_int, default=2)
     p.add_argument("--copies", type=_positive_int, default=2)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--probes", type=_positive_int, default=14)
+    p.add_argument("--probes", type=_positive_int, help="default: invariant basis size + 6")
 
     p = add("adversary", "random unbiased competitor trials")
     p.add_argument("--observable", required=True)
@@ -459,14 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(config: RunConfig) -> int:
-    """Execute a parsed invocation; library errors propagate to the caller."""
-    handler = _HANDLERS.get(config.command)
-    if handler is None:
-        raise FormatError(f"unknown command {config.command!r}")
-    return handler(config.options)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -474,9 +454,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
-    config = RunConfig(command=args.command, options=vars(args))
     try:
-        return run(config)
+        return _HANDLERS[args.command](vars(args))
     except ObsavgError as err:
         diagnostic = {
             "error": err.code,

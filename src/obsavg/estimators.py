@@ -7,7 +7,6 @@ distribution on tensor-power states.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,6 +25,10 @@ from .povm import OutcomeDistribution, Povm
 from .symspace import CopySpace
 
 MERGE_TOL_SCALE = 1e-8
+# eight-byte words per type at the type route's peak, beyond two (types, d)
+# tables: listing holds two tables, clustering one plus 8.1 words per type
+# (measured at d = 2 and 3 with every type its own outcome)
+TYPE_WORDS = 8
 
 
 def default_merge_tol(values: np.ndarray) -> float:
@@ -52,10 +55,17 @@ def _cluster_means(sorted_values: np.ndarray, weights: np.ndarray,
     Weights are divided by their cluster's largest one first: averaging raw
     subnormal weights underflows to a mean of 0.0.
     """
-    starts = np.flatnonzero(np.diff(labels, prepend=-1))
-    peak = np.maximum.reduceat(weights, starts)[labels]
-    scaled = np.divide(weights, peak, out=np.ones_like(weights), where=peak > 0.0)
-    return np.bincount(labels, scaled * sorted_values) / np.bincount(labels, scaled)
+    scaled = np.maximum.reduceat(weights, np.searchsorted(labels, np.arange(labels[-1] + 1)))
+    scaled = scaled[labels]
+    # in place from here: the inputs can be as long as the type table
+    empty = scaled == 0.0
+    np.divide(weights, scaled, out=scaled, where=~empty)
+    scaled[empty] = 1.0
+    total = np.bincount(labels, scaled)
+    scaled *= sorted_values
+    means = np.bincount(labels, scaled)
+    means /= total
+    return means
 
 
 def _merge_weighted(values: np.ndarray, probs: np.ndarray,
@@ -76,10 +86,26 @@ class _TypeClasses:
     to u_i, all of which have copy-average eigenvalue k.lambda / n.
     """
 
-    counts: np.ndarray    # (T, d) count vector of each type
+    counts: np.ndarray    # (T, d) count vector of each type, as floats
     log_mult: np.ndarray  # (T,) log of the multinomial n! / prod_i k_i!
     labels: np.ndarray    # (T,) outcome of each type, outcomes in ascending value
     values: np.ndarray    # (M,) multiplicity-weighted mean of each outcome's type means
+
+
+def _count_table(n: int, d: int) -> np.ndarray:
+    """The (types, d) float table of count vectors of n draws, in stars-and-bars order.
+
+    Each prefix row with r draws left branches into rows taking 0, ..., r next.
+    """
+    prefix = np.zeros((1, 0))
+    left = np.array([n])
+    for _ in range(d - 1):
+        branches = left + 1
+        starts = np.cumsum(branches) - branches
+        taken = np.arange(branches.sum()) - np.repeat(starts, branches)
+        prefix = np.column_stack([np.repeat(prefix, branches, axis=0), taken])
+        left = np.repeat(left, branches) - taken
+    return np.column_stack([prefix, left])
 
 
 def _type_classes(eigenvalues: np.ndarray, n: int,
@@ -90,33 +116,32 @@ def _type_classes(eigenvalues: np.ndarray, n: int,
     by single linkage at merge_tol (default: default_merge_tol of the means).
     Each outcome's value is the mean of its eigenvalues on the copy space,
     every type mean counted with its multiplicity. Raises DimensionCapError,
-    before listing any type, when the (types, d) count table would hold more
-    entries than one cap-sized matrix.
+    before listing any type, when the route would hold more eight-byte
+    words, types * (2 d + TYPE_WORDS), than one cap-sized complex matrix.
     """
     d = eigenvalues.size
     n_types = math.comb(n + d - 1, d - 1)
     cap = default_dim_cap()
-    if n_types * d > cap * cap:
+    if n_types * (2 * d + TYPE_WORDS) > 2 * cap * cap:
         raise DimensionCapError(
             f"{n_types} types of {n} copies of a {d}-level system exceed "
-            f"{cap}^2 table entries",
+            f"one {cap}^2 complex matrix of memory",
             details={"types": n_types, "local_dim": d, "n_copies": n, "cap": cap},
         )
-    bars = itertools.combinations(range(n + d - 1), d - 1)
-    bars = np.fromiter(itertools.chain.from_iterable(bars), dtype=np.int64,
-                       count=n_types * (d - 1)).reshape(n_types, d - 1)
-    edges = np.pad(bars, ((0, 0), (1, 1)), constant_values=((0, 0), (-1, n + d - 1)))
-    counts = np.diff(edges, axis=1) - 1
+    counts = _count_table(n, d)
     means = counts @ eigenvalues / n
     log_factorial = np.fromiter((math.lgamma(k + 1.0) for k in range(n + 1)),
                                 dtype=np.float64, count=n + 1)
-    log_mult = log_factorial[n] - log_factorial[counts].sum(axis=1)
+    # column by column (the order of .sum(axis=1)), with no (types, d) copy
+    log_mult = log_factorial[n] - sum(log_factorial[k.astype(np.int64)] for k in counts.T)
+    del log_factorial  # as long as the type table at d = 2
     if merge_tol is None:
         merge_tol = default_merge_tol(means)
     order = np.argsort(means, kind="stable")
-    sorted_labels = _cluster_labels(means[order], merge_tol)
+    means = means[order]
+    sorted_labels = _cluster_labels(means, merge_tol)
     weights = np.exp(log_mult[order] - log_mult.max())
-    values = _cluster_means(means[order], weights, sorted_labels)
+    values = _cluster_means(means, weights, sorted_labels)
     labels = np.empty_like(sorted_labels)
     labels[order] = sorted_labels
     return _TypeClasses(counts, log_mult, labels, values)
@@ -334,9 +359,9 @@ def estimate_canonical(a, rho, n_copies: int, shots: int = 0,
     classes = _type_classes(obs.eigenvalues, n_copies, merge_tol)
     # a type drawing an outcome of probability 0 is impossible; 0 * log 0 = 0
     seen = p > 0.0
-    log_terms = classes.log_mult + classes.counts[:, seen] @ np.log(p[seen])
-    impossible = (classes.counts[:, ~seen] > 0).any(axis=1)
-    terms = np.where(impossible, 0.0, np.exp(log_terms))
+    log_p = np.log(p, out=np.zeros_like(p), where=seen)
+    terms = np.exp(classes.counts @ log_p + classes.log_mult)
+    terms[classes.counts @ ~seen > 0] = 0.0
     probs = np.bincount(classes.labels, terms, minlength=classes.values.size)
     # the same 1e-9 per summed term as Povm.probabilities, over types, not d**n
     dist = OutcomeDistribution(classes.values, probs,

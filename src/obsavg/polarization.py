@@ -22,28 +22,19 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConditioningError, DimensionCapError, DimensionMismatchError
-from .linops import DensityMatrix, as_matrix, as_state, random_density
+from .errors import ConditioningError, DimensionMismatchError
+from .linops import (DensityMatrix, as_matrix, as_state, check_dim_cap, default_dim_cap,
+                     random_density)
 from .symspace import CopySpace, orbit_sums, pair_orbit_labels
 
-MAX_LOCAL_DIM = 3
-MAX_COPIES = 4
 _IPOW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
 
-def _check_caps(local_dim: int, n_copies: int) -> None:
-    if local_dim > MAX_LOCAL_DIM:
-        raise DimensionCapError(
-            f"polarization reconstruction supports local_dim <= {MAX_LOCAL_DIM}, "
-            f"got {local_dim}",
-            details={"local_dim": local_dim, "cap": MAX_LOCAL_DIM},
-        )
-    if n_copies > MAX_COPIES:
-        raise DimensionCapError(
-            f"polarization reconstruction supports n_copies <= {MAX_COPIES}, "
-            f"got {n_copies}",
-            details={"n_copies": n_copies, "cap": MAX_COPIES},
-        )
+def _contract_sites(tensor: np.ndarray, site_matrix: np.ndarray, n_copies: int) -> np.ndarray:
+    """Contract each site axis in turn with site_matrix's second axis; sites keep their order."""
+    for _ in range(n_copies):
+        tensor = np.tensordot(tensor, site_matrix, axes=([0], [1]))
+    return tensor
 
 
 def _check_factors(factors: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -76,48 +67,52 @@ def product_expectation(x, factors: Sequence[np.ndarray]) -> complex:
     return complex(w.conj() @ (m @ w))
 
 
+def product_grid_expectations(x, table, n_copies: int) -> np.ndarray:
+    """The (T,)**n grid of <w|X|w> over all products w = table[t_1] ox ... ox table[t_n].
+
+    Each site of X, a (row digit, column digit) pair, is contracted with the
+    (T, d^2) outer products conj(table[t, r]) * table[t, c] of the (T, d)
+    table. Raises DimensionCapError when T**n > cap^2.
+    """
+    m = as_matrix(x)
+    table = np.asarray(table, dtype=np.complex128)
+    rows, d = table.shape
+    n = n_copies
+    if m.shape[0] != d**n:
+        raise DimensionMismatchError(f"matrix dim {m.shape[0]} vs local_dim**n_copies = {d**n}")
+    check_dim_cap(rows**n, default_dim_cap() ** 2)
+    pairs = np.arange(2 * n).reshape(2, n).T.ravel()  # axes r_1, c_1, ..., r_n, c_n
+    sites = m.reshape((d,) * (2 * n)).transpose(pairs).reshape((d * d,) * n)
+    outer = (table.conj()[:, :, None] * table[:, None, :]).reshape(rows, d * d)
+    return _contract_sites(sites, outer, n)
+
+
 def reconstruct_from_diagonal(
-    oracle: Callable[[list[np.ndarray]], complex],
+    oracle: Callable[[np.ndarray], np.ndarray],
     local_dim: int,
     n_copies: int,
 ) -> np.ndarray:
     """Rebuild the full matrix of X from diagonal product values only.
 
-    Every entry <J|X|K> is an average of 4**n oracle values on the product
-    vectors built from e_j + i**p e_k per site, weighted by i**(-sum p).
-    The oracle receives the list of single-site factor vectors and must
-    return <w|X|w> for their tensor product. Total oracle calls:
-    (4 * local_dim**2) ** n_copies.
-
-    Parameters
-    ----------
-    oracle : callable
-        Maps a list of n_copies factor vectors (each of size local_dim)
-        to the diagonal value of X on their product.
-    local_dim, n_copies : int
-        Site dimension and copy count; capped at 3 and 4 respectively.
+    The oracle is called once, with a (4 d^2, d) factor table whose row
+    (j*d + k)*4 + p is e_j + i**p e_k, and returns the (4 d^2,)**n grid of
+    <w|X|w> over every product w = table[t_1] ox ... ox table[t_n]. Per
+    site, the average of i**(-p) * <w|X|w> over the phases p picks out the
+    (j, k) entry, so the grid is unmixed site by site. Raises
+    DimensionCapError before calling the oracle when (4 d^2)**n > cap^2.
     """
-    _check_caps(local_dim, n_copies)
-    d, n = local_dim, n_copies
-    dim = d**n
+    d, n, rows = local_dim, n_copies, 4 * local_dim**2
+    check_dim_cap(rows**n, default_dim_cap() ** 2)
     eye = np.eye(d, dtype=np.complex128)
-    # factor vector for (j, k, p): e_j + i**p e_k
-    site_factors = [
-        [[eye[j] + _IPOW[p] * eye[k] for p in range(4)] for k in range(d)]
-        for j in range(d)
-    ]
-    out = np.empty((dim, dim), dtype=np.complex128)
-    sites = list(itertools.product(range(d), repeat=n))
-    phases = [_IPOW[(-sum(p)) % 4] for p in itertools.product(range(4), repeat=n)]
-    p_tuples = list(itertools.product(range(4), repeat=n))
-    for row, jj in enumerate(sites):
-        for col, kk in enumerate(sites):
-            acc = 0.0 + 0.0j
-            for phase, pp in zip(phases, p_tuples):
-                factors = [site_factors[jj[l]][kk[l]][pp[l]] for l in range(n)]
-                acc += phase * complex(oracle(factors))
-            out[row, col] = acc / 4**n
-    return out
+    table = eye[:, None, None, :] + np.array(_IPOW)[:, None] * eye[None, :, None, :]
+    grid = np.asarray(oracle(table.reshape(rows, d)), dtype=np.complex128)
+    if grid.shape != (rows,) * n:
+        raise DimensionMismatchError(f"oracle returned shape {grid.shape}, expected {(rows,) * n}")
+    # unmix[j*d + k, (j*d + k)*4 + p] = i**(-p) / 4
+    unmix = np.kron(np.eye(d * d), np.conj(_IPOW) / 4)
+    sites = _contract_sites(grid, unmix, n).reshape((d,) * (2 * n))
+    order = np.arange(2 * n).reshape(n, 2).T.ravel()  # axes j_1 .. j_n, k_1 .. k_n
+    return sites.transpose(order).reshape(d**n, d**n)
 
 
 def symmetrized_product_sum(x, factors: Sequence[np.ndarray]) -> complex:
@@ -233,7 +228,6 @@ def reconstruct_from_moments(
         If there are fewer probes than basis elements or the design matrix
         is rank deficient (code PROBE_RANK).
     """
-    _check_caps(local_dim, n_copies)
     space = CopySpace(local_dim, n_copies)
     labels = pair_orbit_labels(space)
     n_basis = int(labels.max()) + 1

@@ -189,6 +189,40 @@ def test_lemma_demo_subcommand(capsys):
     assert report["coefficient_identity_residual"] < 1e-9
 
 
+def test_lemma_demo_three_levels_four_copies(capsys, monkeypatch):
+    monkeypatch.delenv("OBSAVG_DIM_CAP", raising=False)
+    code = main(["lemma-demo", "--dim", "3", "--copies", "4", "--seed", "2"])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    # C(4 + 9 - 1, 4) invariant basis operators, six probes beyond them
+    assert report["invariant_basis_size"] == report["moment_rank"] == 495
+    assert report["n_probes"] == 501
+    assert report["diagonal_reconstruction_error"] < 1e-8
+    assert report["moment_reconstruction_error"] < 1e-8
+    assert report["coefficient_identity_residual"] < 1e-9
+
+
+def test_lemma_demo_default_probes_cover_the_basis(capsys):
+    code = main(["lemma-demo", "--dim", "2", "--copies", "3", "--seed", "4"])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["invariant_basis_size"] == report["moment_rank"] == 20
+    assert report["n_probes"] == 26
+    assert report["moment_reconstruction_error"] < 1e-8
+
+
+def test_lemma_demo_refuses_too_few_probes_before_the_diagonal_route(capsys, monkeypatch):
+    def diagonal_route(*args):
+        raise AssertionError("the diagonal route ran before the probe count was checked")
+
+    monkeypatch.setattr("obsavg.cli.reconstruct_from_diagonal", diagonal_route)
+    code = main(["lemma-demo", "--dim", "2", "--copies", "3", "--probes", "19"])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "PROBE_RANK"
+    assert err["details"] == {"n_basis": 20, "n_probes": 19}
+
+
 def test_adversary_subcommand(tmp_path, capsys):
     csv_path = tmp_path / "trials.csv"
     code = main([

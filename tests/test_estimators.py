@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from obsavg.errors import DimensionCapError, DimensionMismatchError
 from obsavg.estimators import (
+    TYPE_WORDS,
     EstimationReport,
     canonical_error,
     canonical_povm,
@@ -323,15 +324,26 @@ def test_canonical_route_is_not_bounded_by_the_copy_dimension(n, monkeypatch):
 
 
 def test_canonical_type_guard_refuses_before_listing(monkeypatch):
-    # the (types, d) count table may hold at most cap^2 = 64^2 entries
-    monkeypatch.setenv("OBSAVG_DIM_CAP", "64")
-    # distinct type means: no two types merge into one outcome
+    # the type route may hold one cap-sized complex matrix, cap^2 * 16 bytes;
+    # distinct type means (Z, or 1 and sqrt(2) rationally independent) make
+    # nearly every type its own outcome, the largest outcome arrays
+    cap = 1024
+    monkeypatch.setenv("OBSAVG_DIM_CAP", str(cap))
     generic3, mixed3 = np.diag([0.0, 1.0, np.sqrt(2.0)]), np.eye(3) / 3.0
-    assert len(estimate_canonical(Z, PLUS, 2047).distribution) == 2048
-    assert len(estimate_canonical(generic3, mixed3, 50).distribution) == math.comb(52, 2)
-    for a, rho, n in [(Z, PLUS, 2048), (generic3, mixed3, 51)]:
+    for a, rho, d in [(Z, PLUS, 2), (generic3, mixed3, 3)]:
+        n = 1  # the largest n the guard accepts
+        while math.comb(n + d, d - 1) * (2 * d + TYPE_WORDS) <= 2 * cap * cap:
+            n += 1
+        tracemalloc.start()
+        try:
+            report = estimate_canonical(a, rho, n, shots=100, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(report.distribution) > 0.9 * math.comb(n + d - 1, d - 1)
+        assert peak <= cap * cap * 16
         with pytest.raises(DimensionCapError):
-            estimate_canonical(a, rho, n)
+            estimate_canonical(a, rho, n + 1)
     monkeypatch.delenv("OBSAVG_DIM_CAP")
     tracemalloc.start()
     try:

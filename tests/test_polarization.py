@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from obsavg.polarization import (
     MixtureSpec,
     coefficient_extract,
     product_expectation,
+    product_grid_expectations,
     product_vector,
     random_probe_states,
     reconstruct_from_diagonal,
@@ -24,8 +26,10 @@ def _random_matrix(rng, dim):
     return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
 
 
-def _diag_oracle(x):
-    return lambda factors: product_expectation(x, factors)
+def _loop_oracle(x, n):
+    """The per-vector oracle: one product_expectation per point of the (T,)**n grid."""
+    return lambda table: np.reshape([product_expectation(x, factors) for factors in
+                                     itertools.product(table, repeat=n)], (len(table),) * n)
 
 
 def _moment_oracle(x, n):
@@ -61,24 +65,57 @@ def test_product_expectation_shape_errors():
         product_expectation(np.eye(8), [np.ones(2), np.ones(2)])
 
 
-@pytest.mark.parametrize("d,n", [(2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("d,n", [(1, 3), (2, 1), (2, 2), (2, 3), (3, 2)])
 def test_reconstruct_from_diagonal_recovers_random_matrix(d, n):
     rng = np.random.default_rng(61)
     x = _random_matrix(rng, d**n)
-    got = reconstruct_from_diagonal(_diag_oracle(x), d, n)
-    assert np.abs(got - x).max() < 1e-10
+    looped = reconstruct_from_diagonal(_loop_oracle(x, n), d, n)
+    batched = reconstruct_from_diagonal(lambda t: product_grid_expectations(x, t, n), d, n)
+    assert np.abs(looped - x).max() < 1e-12
+    assert np.abs(batched - looped).max() < 1e-12
 
 
 def test_reconstruct_from_diagonal_identity():
-    got = reconstruct_from_diagonal(_diag_oracle(np.eye(4, dtype=complex)), 2, 2)
+    got = reconstruct_from_diagonal(_loop_oracle(np.eye(4, dtype=complex), 2), 2, 2)
     assert np.abs(got - np.eye(4)).max() < 1e-12
 
 
-def test_reconstruct_from_diagonal_caps():
+@pytest.mark.parametrize("d,n,rows", [(1, 4, 3), (2, 1, 5), (2, 3, 4), (3, 2, 6)])
+def test_product_grid_matches_product_expectation(d, n, rows):
+    rng = np.random.default_rng(69)
+    x = _random_matrix(rng, d**n)
+    table = rng.standard_normal((rows, d)) + 1j * rng.standard_normal((rows, d))
+    grid = product_grid_expectations(x, table, n)
+    assert grid.shape == (rows,) * n
+    for t in itertools.product(range(rows), repeat=n):
+        assert abs(grid[t] - product_expectation(x, table[list(t)])) <= 1e-12 * max(
+            1.0, abs(grid[t]))
+
+
+def test_reconstruct_from_diagonal_grid_guard(monkeypatch):
+    def oracle(table):
+        raise AssertionError("the guard must refuse before calling the oracle")
+
+    # (4 d^2)^n product values against cap^2: 16^7 > 4096^2 = 16^6
+    monkeypatch.delenv("OBSAVG_DIM_CAP", raising=False)
+    with pytest.raises(DimensionCapError) as info:
+        reconstruct_from_diagonal(oracle, 2, 7)
+    assert info.value.code == "DIM_CAP"
+    monkeypatch.setenv("OBSAVG_DIM_CAP", "64")
+    for d, n in [(2, 4), (3, 3), (5, 2)]:
+        with pytest.raises(DimensionCapError):
+            reconstruct_from_diagonal(oracle, d, n)
+    # 16^3 = 64^2 is still accepted
+    x = _random_matrix(np.random.default_rng(70), 8)
+    got = reconstruct_from_diagonal(lambda t: product_grid_expectations(x, t, 3), 2, 3)
+    assert np.abs(got - x).max() < 1e-12
     with pytest.raises(DimensionCapError):
-        reconstruct_from_diagonal(lambda f: 0.0, 4, 2)
-    with pytest.raises(DimensionCapError):
-        reconstruct_from_diagonal(lambda f: 0.0, 2, 5)
+        product_grid_expectations(x, np.ones((17, 2)), 3)
+
+
+def test_reconstruct_from_diagonal_checks_the_grid_shape():
+    with pytest.raises(DimensionMismatchError):
+        reconstruct_from_diagonal(lambda table: np.zeros((16, 16)), 2, 3)
 
 
 def test_symmetrized_sum_single_factor_reduces():
