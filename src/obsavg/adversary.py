@@ -14,10 +14,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, ObsavgError, PovmValidationError
-from .estimators import canonical_error
-from .linops import DensityMatrix, as_observable, as_state, eigh
+from .estimators import _product_basis, canonical_error
+from .linops import as_observable, as_state, check_memory_cap, random_density
 from .povm import UNBIASED_TOL, Povm, moment_inequality_floor
-from .symspace import CopySpace, copy_average
+from .symspace import CopySpace
+
+# bytes per (M, D, D) and per (D, D) entry at project_unbiased_povm's peak:
+# three complex stacks (iterate, scratch, eigh's output) and the bool masks;
+# (D, D) tables and temporaries measured 6 to 10.4 complex matrices
+# (tracemalloc, d = 2 and 3, D = 64 to 256, M = 2 to 16)
+STACK_BYTES = 3 * 16 + 1
+TABLE_BYTES = 12 * 16
 
 
 @dataclass(frozen=True)
@@ -61,6 +68,23 @@ class FeasibilityResult:
     unbiasedness_residual: float
 
 
+def _least_norm_coefficients(allow: np.ndarray, values: np.ndarray):
+    """(D, D) tables p, q, s of the affine step's least-norm correction.
+
+    Over the outcomes allowed to touch an entry, c_m = l1 + r_m l2 with
+    l1 = p gap_eye + q gap_avg and l2 = q gap_eye + s gap_avg; an entry that
+    one estimate value reaches equal-splits the completeness gap.
+    """
+    weight = allow.astype(np.float64)
+    count, sum_r, sum_r2 = ((weight.T * values**k) @ weight for k in range(3))
+    det = count * sum_r2 - sum_r * sum_r
+    regular = (det > 1e-9 * np.maximum(1.0, sum_r2)) & (count > 0)
+    p, q, s = np.divide([sum_r2, -sum_r, count], det, out=np.zeros((3,) + det.shape),
+                        where=regular)
+    np.divide(1.0, count, out=p, where=~regular & (count > 0))
+    return p, q, s
+
+
 def project_unbiased_povm(a, space: CopySpace, value_grid,
                           *, start: np.ndarray | None = None,
                           rng: np.random.Generator | None = None,
@@ -69,13 +93,15 @@ def project_unbiased_povm(a, space: CopySpace, value_grid,
     """Find a valid POVM with the given estimate values that is unbiased for a.
 
     Alternating projections between the affine set (completeness plus the
-    first-moment constraint) and the PSD cone, run in the eigenbasis of the
-    copy-averaged observable. The affine projection solves a 2x2 least-norm
+    first-moment constraint) and the PSD cone, run in the product basis
+    U^(x)n where the copy-averaged observable is diagonal (the basis
+    canonical_povm uses). The affine projection solves a 2x2 least-norm
     system per matrix entry over the outcomes allowed to touch it. Plain
     alternation stalls when the solution forces PSD-boundary blocks, so the
     forced supports are eliminated first: an outcome announcing less than
     the top grid value must annihilate the top eigenspace of the average
     (symmetrically at the bottom), which restores a linear convergence rate.
+    Each step acts on the whole (M, D, D) stack at once.
 
     Parameters
     ----------
@@ -97,25 +123,24 @@ def project_unbiased_povm(a, space: CopySpace, value_grid,
     InfeasibleError
         If the grid cannot support an unbiased POVM, or the iteration does
         not reach convergence_tol within max_iterations.
+    DimensionCapError
+        Before any (M, D, D) allocation, if the peak counted with STACK_BYTES
+        and TABLE_BYTES exceeds check_memory_cap's bound.
     """
     obs = as_observable(a)
     values = np.asarray(value_grid, dtype=np.float64).reshape(-1)
     if values.size < 1 or not np.isfinite(values).all():
         raise ObsavgError("value grid must be nonempty and finite", code="BAD_GRID")
-    avg = copy_average(obs.matrix, space)
-    theta_w, basis_q = eigh(avg)
-    dim = space.total_dim
-    n_out = values.size
-    scale = max(1.0, float(np.abs(theta_w).max()))
+    lo, hi = obs.lambda_min, obs.lambda_max
+    scale = max(1.0, abs(lo), abs(hi))
     range_tol = 1e-9 * scale
-    if values.min() < theta_w[0] - range_tol or values.max() > theta_w[-1] + range_tol:
+    if values.min() < lo - range_tol or values.max() > hi + range_tol:
         raise ObsavgError(
-            f"grid values must stay within the spectral range "
-            f"[{theta_w[0]:.6g}, {theta_w[-1]:.6g}]",
+            f"grid values must stay within the spectral range [{lo:.6g}, {hi:.6g}]",
             code="BAD_GRID",
             details={"grid_min": float(values.min()), "grid_max": float(values.max())},
         )
-    if values.max() < theta_w[-1] - range_tol or values.min() > theta_w[0] + range_tol:
+    if values.max() < hi - range_tol or values.min() > lo + range_tol:
         raise InfeasibleError(
             "grid does not cover the spectral endpoints, so no unbiased POVM "
             "on it exists",
@@ -123,35 +148,28 @@ def project_unbiased_povm(a, space: CopySpace, value_grid,
                 "reason": "grid_coverage",
                 "grid_min": float(values.min()),
                 "grid_max": float(values.max()),
-                "lambda_min": float(theta_w[0]),
-                "lambda_max": float(theta_w[-1]),
+                "lambda_min": lo,
+                "lambda_max": hi,
             },
         )
+    dim, n_out = space.total_dim, values.size
+    check_memory_cap(dim * dim * (STACK_BYTES * n_out + TABLE_BYTES),
+                     f"adversary search over {n_out} elements of dim {dim}",
+                     outcomes=n_out, dim=dim)
+    basis_q, counts = _product_basis(obs, space)
+    theta = counts @ obs.eigenvalues / space.n_copies
 
     # forced supports: outcomes below the top value must vanish on the top
     # eigenspace of the average, and symmetrically at the bottom
     vtol = max(1e-12 * scale, 1e-10)
-    at_top = theta_w >= values.max() - vtol
-    at_bottom = theta_w <= values.min() + vtol
-    allow = np.ones((n_out, dim), dtype=bool)
-    for m in range(n_out):
-        if values[m] < values.max() - vtol:
-            allow[m, at_top] = False
-        if values[m] > values.min() + vtol:
-            allow[m, at_bottom] = False
+    top, bottom = values.max() - vtol, values.min() + vtol
+    allow = ~(((values < top)[:, None] & (theta >= top))
+              | ((values > bottom)[:, None] & (theta <= bottom)))
     masks = allow[:, :, None] & allow[:, None, :]
 
-    # per-entry least-norm data over the outcomes allowed to touch the entry
-    count = masks.sum(axis=0).astype(np.float64)
-    sum_r = np.einsum("m,mij->ij", values, masks)
-    sum_r2 = np.einsum("m,mij->ij", values * values, masks)
-    det = count * sum_r2 - sum_r * sum_r
-    degenerate = det <= 1e-9 * np.maximum(1.0, sum_r2)
-    regular = ~degenerate & (count > 0)
-    single_value = degenerate & (count > 0)
-
+    p, q, s = _least_norm_coefficients(allow, values)
     target_eye = np.eye(dim)
-    target_avg = np.diag(theta_w.astype(np.complex128))
+    target_avg = np.diag(theta)
 
     if start is not None:
         f = np.asarray(start, dtype=np.complex128)
@@ -160,65 +178,63 @@ def project_unbiased_povm(a, space: CopySpace, value_grid,
                 f"start must have shape ({n_out}, {dim}, {dim}), got {f.shape}",
                 code="BAD_GRID",
             )
-        f = np.einsum("ai,mab,bj->mij", basis_q.conj(), f, basis_q)
-        f = f * masks
+        f = basis_q.conj().T @ f @ basis_q
     else:
         if rng is None:
             rng = np.random.default_rng(0)
-        f = np.empty((n_out, dim, dim), dtype=np.complex128)
-        for m in range(n_out):
-            g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            f[m] = (g @ g.conj().T / dim) * masks[m]
+        f = rng.standard_normal((n_out, dim, dim)) + 1j * rng.standard_normal((n_out, dim, dim))
+        f = f @ f.conj().swapaxes(1, 2)
+        f /= dim
+    f *= masks
+    step = np.empty_like(f)
 
     for iteration in range(max_iterations + 1):
-        res_eye = float(np.abs(target_eye - f.sum(axis=0)).max())
-        res_avg = float(
-            np.abs(target_avg - np.einsum("m,mij->ij", values, f)).max()
-        )
+        gap_eye = target_eye - f.sum(axis=0)
+        gap_avg = target_avg - np.tensordot(values, f, axes=1)
+        res_eye = float(np.abs(gap_eye).max())
+        res_avg = float(np.abs(gap_avg).max())
         if max(res_eye, res_avg) <= convergence_tol:
             # completeness is judged again in the computational basis, where
             # Povm.validate checks it: the rotation back can raise the residual
-            elements = np.einsum("ia,mab,jb->mij", basis_q, f, basis_q.conj())
+            elements = np.matmul(basis_q, f, out=step) @ basis_q.conj().T
             res_eye = float(np.abs(elements.sum(axis=0) - target_eye).max())
             if res_eye <= convergence_tol:
+                elements.setflags(write=False)
                 povm = Povm(values, elements, space)
                 return FeasibilityResult(
                     povm=povm,
                     iterations=iteration,
                     completeness_residual=res_eye,
-                    unbiasedness_residual=float(
-                        np.abs(povm.first_moment() - avg).max()
-                    ),
+                    unbiasedness_residual=povm.unbiasedness_residual(obs),
                 )
+            del elements  # one stack fewer while the iteration goes on
+        residual = max(res_eye, res_avg)
         if iteration == max_iterations:
             raise InfeasibleError(
                 f"no convergence to {convergence_tol:.1e} within "
-                f"{max_iterations} iterations (residual {max(res_eye, res_avg):.3e})",
+                f"{max_iterations} iterations (residual {residual:.3e})",
                 details={
                     "reason": "no_convergence",
-                    "residual": max(res_eye, res_avg),
+                    "residual": residual,
                     "iterations": max_iterations,
                 },
             )
-        # affine projection: least-norm correction c_m = l1 + r_m l2 per entry
-        gap_eye = target_eye - f.sum(axis=0)
-        gap_avg = target_avg - np.einsum("m,mij->ij", values, f)
-        l1 = np.zeros((dim, dim), dtype=np.complex128)
-        l2 = np.zeros((dim, dim), dtype=np.complex128)
-        l1[regular] = (sum_r2[regular] * gap_eye[regular]
-                       - sum_r[regular] * gap_avg[regular]) / det[regular]
-        l2[regular] = (count[regular] * gap_avg[regular]
-                       - sum_r[regular] * gap_eye[regular]) / det[regular]
-        # entries reachable by a single estimate value: the two constraints
-        # coincide there, equal-split the completeness gap
-        l_single = np.zeros((dim, dim), dtype=np.complex128)
-        l_single[single_value] = gap_eye[single_value] / count[single_value]
-        f = f + (l1[None] + values[:, None, None] * l2[None] + l_single[None]) * masks
-        # cone projection: clip eigenvalues per outcome, keep forced zeros
-        for m in range(n_out):
-            sym = (f[m] + f[m].conj().T) / 2.0
-            w, v = np.linalg.eigh(sym)
-            f[m] = ((v * np.clip(w, 0.0, None)) @ v.conj().T) * masks[m]
+        # affine projection: the least-norm correction l1 + r_m l2
+        np.multiply(values[:, None, None], q * gap_eye + s * gap_avg, out=step)
+        step += p * gap_eye + q * gap_avg
+        step *= masks
+        f += step
+        # cone projection of the Hermitian part: clip eigenvalues, keep
+        # forced zeros; step's buffer takes the conjugate transposes
+        np.conjugate(f.swapaxes(1, 2), out=step)
+        f += step
+        f *= 0.5
+        w, v = np.linalg.eigh(f)
+        np.conjugate(v.swapaxes(1, 2), out=step)
+        v *= np.clip(w, 0.0, None)[:, None, :]
+        np.matmul(v, step, out=f)
+        f *= masks
+        del w, v  # eigh's next output would otherwise meet this one
     raise AssertionError("unreachable")
 
 
@@ -347,6 +363,10 @@ def compare(p: Povm, a, rho) -> ComparisonReport:
     )
 
 
+_TRIAL_METRICS = ("n_outcomes", "adversary_error", "canonical_error", "gap",
+                  "unbiasedness_residual", "completeness_residual", "moment_floor")
+
+
 def run_trials(a, space: CopySpace, config: AdversaryConfig,
                n_trials: int) -> tuple[list[dict], dict]:
     """Batch of independent adversary draws, each compared on a fresh state.
@@ -360,10 +380,6 @@ def run_trials(a, space: CopySpace, config: AdversaryConfig,
         raise ObsavgError("n_trials must be >= 1", code="BAD_GRID")
     obs = as_observable(a)
     rows: list[dict] = []
-    gaps: list[float] = []
-    residuals: list[float] = []
-    completeness: list[float] = []
-    floors: list[float] = []
     for trial in range(n_trials):
         seed = config.seed + trial
         rng = np.random.default_rng(seed)
@@ -380,49 +396,26 @@ def run_trials(a, space: CopySpace, config: AdversaryConfig,
         except InfeasibleError as err:
             if err.details.get("reason") != "no_convergence":
                 raise
-            row.update(
-                converged=False,
-                iterations=config.max_iterations,
-                n_outcomes=None,
-                adversary_error=None,
-                canonical_error=None,
-                gap=None,
-                unbiasedness_residual=None,
-                completeness_residual=None,
-                moment_floor=None,
-            )
+            row.update(converged=False, iterations=config.max_iterations)
+            row.update(dict.fromkeys(_TRIAL_METRICS))
             rows.append(row)
             continue
-        g = rng.standard_normal((space.local_dim, space.local_dim)) \
-            + 1j * rng.standard_normal((space.local_dim, space.local_dim))
-        w = g @ g.conj().T
-        rho = DensityMatrix(w / np.trace(w).real)
+        rho = random_density(space.local_dim, rng)
         report = compare(result.povm, obs, rho)
-        row.update(
-            converged=True,
-            iterations=result.iterations,
-            n_outcomes=report.n_outcomes,
-            adversary_error=report.adversary_error,
-            canonical_error=report.canonical_error,
-            gap=report.gap,
-            unbiasedness_residual=report.unbiasedness_residual,
-            completeness_residual=result.completeness_residual,
-            moment_floor=report.moment_floor,
-        )
+        metrics = report.to_dict() | {"completeness_residual": result.completeness_residual}
+        row.update(converged=True, iterations=result.iterations)
+        row.update({key: metrics[key] for key in _TRIAL_METRICS})
         rows.append(row)
-        gaps.append(report.gap)
-        residuals.append(report.unbiasedness_residual)
-        completeness.append(result.completeness_residual)
-        floors.append(report.moment_floor)
+    done = {key: [row[key] for row in rows if row["converged"]] for key in _TRIAL_METRICS}
     summary = {
         "trials": n_trials,
-        "converged": len(gaps),
+        "converged": len(done["gap"]),
         "grid_size": len(config.value_grid),
-        "min_gap": min(gaps) if gaps else None,
-        "max_gap": max(gaps) if gaps else None,
-        "mean_gap": float(np.mean(gaps)) if gaps else None,
-        "max_unbiasedness_residual": max(residuals) if residuals else None,
-        "max_completeness_residual": max(completeness) if completeness else None,
-        "min_moment_floor": min(floors) if floors else None,
+        "min_gap": min(done["gap"], default=None),
+        "max_gap": max(done["gap"], default=None),
+        "mean_gap": float(np.mean(done["gap"])) if done["gap"] else None,
+        "max_unbiasedness_residual": max(done["unbiasedness_residual"], default=None),
+        "max_completeness_residual": max(done["completeness_residual"], default=None),
+        "min_moment_floor": min(done["moment_floor"], default=None),
     }
     return rows, summary

@@ -12,13 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionCapError, DimensionMismatchError
+from .errors import DimensionMismatchError
 from .linops import (
     DensityMatrix,
     Observable,
     as_observable,
     as_state,
-    default_dim_cap,
+    check_memory_cap,
     tensor_power,
 )
 from .povm import OutcomeDistribution, Povm
@@ -116,18 +116,14 @@ def _type_classes(eigenvalues: np.ndarray, n: int,
     by single linkage at merge_tol (default: default_merge_tol of the means).
     Each outcome's value is the mean of its eigenvalues on the copy space,
     every type mean counted with its multiplicity. Raises DimensionCapError,
-    before listing any type, when the route would hold more eight-byte
-    words, types * (2 d + TYPE_WORDS), than one cap-sized complex matrix.
+    before listing any type, when the route's eight-byte words,
+    types * (2 d + TYPE_WORDS), exceed check_memory_cap's bound.
     """
     d = eigenvalues.size
     n_types = math.comb(n + d - 1, d - 1)
-    cap = default_dim_cap()
-    if n_types * (2 * d + TYPE_WORDS) > 2 * cap * cap:
-        raise DimensionCapError(
-            f"{n_types} types of {n} copies of a {d}-level system exceed "
-            f"one {cap}^2 complex matrix of memory",
-            details={"types": n_types, "local_dim": d, "n_copies": n, "cap": cap},
-        )
+    check_memory_cap(8 * n_types * (2 * d + TYPE_WORDS),
+                     f"{n_types} types of {n} copies of a {d}-level system",
+                     types=n_types, local_dim=d, n_copies=n)
     counts = _count_table(n, d)
     means = counts @ eigenvalues / n
     log_factorial = np.fromiter((math.lgamma(k + 1.0) for k in range(n + 1)),
@@ -147,14 +143,22 @@ def _type_classes(eigenvalues: np.ndarray, n: int,
     return _TypeClasses(counts, log_mult, labels, values)
 
 
-def _local_observable(a, space: CopySpace) -> Observable:
-    """a as an Observable on one copy of space."""
-    obs = as_observable(a)
+def _product_basis(obs: Observable, space: CopySpace) -> tuple[np.ndarray, np.ndarray]:
+    """U^(x)n of the observable's eigenvectors and the (D, d) type of each column.
+
+    Column c of U^(x)n is a product of eigenvectors, the first factor most
+    significant; counts[c, i] is how many of its factors are u_i, so the
+    copy average has eigenvalue counts[c] @ lambda / n on that column.
+    """
     if obs.dim != space.local_dim:
         raise DimensionMismatchError(
             f"observable dim {obs.dim} does not match local_dim {space.local_dim}"
         )
-    return obs
+    d = space.local_dim
+    counts = np.zeros((1, d), dtype=np.int64)
+    for _ in range(space.n_copies):
+        counts = (counts[:, None, :] + np.eye(d, dtype=np.int64)).reshape(-1, d)
+    return tensor_power(obs.eigenvectors, space.n_copies), counts
 
 
 def _spectral_probabilities(obs: Observable, state: DensityMatrix) -> np.ndarray:
@@ -191,21 +195,14 @@ def canonical_povm(a, space: CopySpace, merge_tol: float | None = None) -> Povm:
         If the element stack (outcomes x total_dim^2 entries) would hold
         more entries than one cap-sized matrix.
     """
-    obs = _local_observable(a, space)
-    d, n, dim = space.local_dim, space.n_copies, space.total_dim
-    classes = _type_classes(obs.eigenvalues, n, merge_tol)
+    obs = as_observable(a)
+    dim = space.total_dim
+    classes = _type_classes(obs.eigenvalues, space.n_copies, merge_tol)
     n_out = classes.values.size
-    cap = default_dim_cap()
-    if n_out * dim * dim > cap * cap:
-        raise DimensionCapError(
-            f"canonical POVM stack of {n_out} elements of dim {dim} exceeds "
-            f"{cap}^2 entries",
-            details={"outcomes": n_out, "dim": dim, "cap": cap},
-        )
-    # count vector of each column of U^(x)n, the first factor most significant
-    col_counts = np.zeros((1, d), dtype=np.int64)
-    for _ in range(n):
-        col_counts = (col_counts[:, None, :] + np.eye(d, dtype=np.int64)).reshape(-1, d)
+    check_memory_cap(16 * n_out * dim * dim,
+                     f"canonical POVM stack of {n_out} elements of dim {dim}",
+                     outcomes=n_out, dim=dim)
+    basis, col_counts = _product_basis(obs, space)
     # every column's count vector is one of the types: match them as rows
     n_types = classes.labels.size
     _, ids = np.unique(np.vstack([classes.counts, col_counts]), axis=0,
@@ -214,7 +211,6 @@ def canonical_povm(a, space: CopySpace, merge_tol: float | None = None) -> Povm:
     label_of_id = np.empty(n_types, dtype=np.int64)
     label_of_id[ids[:n_types]] = classes.labels
     col_labels = label_of_id[ids[n_types:]]
-    basis = tensor_power(obs.eigenvectors, n)
     elements = np.empty((n_out, dim, dim), dtype=np.complex128)
     for m in range(n_out):
         vecs = basis[:, col_labels == m]

@@ -43,14 +43,23 @@ def default_dim_cap() -> int:
     return cap
 
 
-def check_dim_cap(dim: int, cap: int | None = None) -> None:
+def check_dim_cap(dim: int) -> None:
     """Raise DimensionCapError when dim exceeds the configured cap."""
-    if cap is None:
-        cap = default_dim_cap()
+    cap = default_dim_cap()
     if dim > cap:
         raise DimensionCapError(
             f"composite dimension {dim} exceeds cap {cap}",
             details={"dim": int(dim), "cap": int(cap)},
+        )
+
+
+def check_memory_cap(nbytes: int, what: str, **details) -> None:
+    """Raise DimensionCapError when a call's peak, nbytes, exceeds 16 cap^2 bytes."""
+    cap = default_dim_cap()
+    if nbytes > 16 * cap * cap:
+        raise DimensionCapError(
+            f"{what} needs {nbytes} bytes, more than one {cap}^2 complex matrix",
+            details={**details, "bytes": int(nbytes), "cap": cap},
         )
 
 
@@ -75,30 +84,30 @@ def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
     return hermitian_defect(as_matrix(m)) <= tol
 
 
-def kron(a, b, cap: int | None = None) -> np.ndarray:
+def kron(a, b) -> np.ndarray:
     """Kronecker product with the composite-dimension cap enforced."""
     ma, mb = as_matrix(a), as_matrix(b)
-    check_dim_cap(ma.shape[0] * mb.shape[0], cap)
+    check_dim_cap(ma.shape[0] * mb.shape[0])
     return np.kron(ma, mb)
 
 
-def kron_all(mats: Sequence, cap: int | None = None) -> np.ndarray:
+def kron_all(mats: Sequence) -> np.ndarray:
     """Left-to-right Kronecker product of a nonempty sequence of matrices."""
     mats = list(mats)
     if not mats:
         raise DimensionMismatchError("kron_all needs at least one factor")
     out = as_matrix(mats[0])
     for m in mats[1:]:
-        out = kron(out, m, cap)
+        out = kron(out, m)
     return out
 
 
-def tensor_power(m, n: int, cap: int | None = None) -> np.ndarray:
+def tensor_power(m, n: int) -> np.ndarray:
     """n-fold Kronecker power of a square matrix."""
     if n < 1:
         raise DimensionMismatchError(f"tensor power needs n >= 1, got {n}")
     base = as_matrix(m)
-    check_dim_cap(base.shape[0] ** n, cap)
+    check_dim_cap(base.shape[0] ** n)
     out = base
     for _ in range(n - 1):
         out = np.kron(out, base)
@@ -262,9 +271,9 @@ class DensityMatrix:
     def dim(self) -> int:
         return self._matrix.shape[0]
 
-    def tensor_power(self, n: int, cap: int | None = None) -> np.ndarray:
+    def tensor_power(self, n: int) -> np.ndarray:
         """Matrix of n independent copies of this state."""
-        return tensor_power(self._matrix, n, cap)
+        return tensor_power(self._matrix, n)
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dim={self.dim})"

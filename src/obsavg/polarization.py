@@ -23,8 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConditioningError, DimensionMismatchError
-from .linops import (DensityMatrix, as_matrix, as_state, check_dim_cap, default_dim_cap,
-                     random_density)
+from .linops import DensityMatrix, as_matrix, as_state, check_memory_cap, random_density
 from .symspace import CopySpace, orbit_sums, pair_orbit_labels
 
 _IPOW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
@@ -80,7 +79,7 @@ def product_grid_expectations(x, table, n_copies: int) -> np.ndarray:
     n = n_copies
     if m.shape[0] != d**n:
         raise DimensionMismatchError(f"matrix dim {m.shape[0]} vs local_dim**n_copies = {d**n}")
-    check_dim_cap(rows**n, default_dim_cap() ** 2)
+    check_memory_cap(16 * rows**n, f"a grid of {rows}^{n} values", rows=rows, n_copies=n)
     pairs = np.arange(2 * n).reshape(2, n).T.ravel()  # axes r_1, c_1, ..., r_n, c_n
     sites = m.reshape((d,) * (2 * n)).transpose(pairs).reshape((d * d,) * n)
     outer = (table.conj()[:, :, None] * table[:, None, :]).reshape(rows, d * d)
@@ -102,7 +101,7 @@ def reconstruct_from_diagonal(
     DimensionCapError before calling the oracle when (4 d^2)**n > cap^2.
     """
     d, n, rows = local_dim, n_copies, 4 * local_dim**2
-    check_dim_cap(rows**n, default_dim_cap() ** 2)
+    check_memory_cap(16 * rows**n, f"a grid of {rows}^{n} values", rows=rows, n_copies=n)
     eye = np.eye(d, dtype=np.complex128)
     table = eye[:, None, None, :] + np.array(_IPOW)[:, None] * eye[None, :, None, :]
     grid = np.asarray(oracle(table.reshape(rows, d)), dtype=np.complex128)

@@ -1,7 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from obsavg import adversary
 from obsavg.adversary import (
+    STACK_BYTES,
+    TABLE_BYTES,
     AdversaryConfig,
     compare,
     project_unbiased_povm,
@@ -9,7 +14,7 @@ from obsavg.adversary import (
     run_trials,
     smear_povm,
 )
-from obsavg.errors import InfeasibleError, ObsavgError, PovmValidationError
+from obsavg.errors import DimensionCapError, InfeasibleError, ObsavgError, PovmValidationError
 from obsavg.estimators import canonical_error, canonical_povm, total_variation
 from obsavg.linops import DensityMatrix, Observable, pure_state, random_density, random_hermitian
 from obsavg.povm import Povm
@@ -71,15 +76,66 @@ def test_project_rejects_out_of_range_grid():
 
 
 def test_project_reports_non_convergence():
+    # no residual rounds to below 1e-300, whatever the draw
     with pytest.raises(InfeasibleError) as err:
         project_unbiased_povm(
             Z,
             CopySpace(2, 2),
             (-1.0, 0.0, 1.0),
             rng=np.random.default_rng(0),
-            max_iterations=1,
+            max_iterations=3,
+            convergence_tol=1e-300,
         )
     assert err.value.details["reason"] == "no_convergence"
+    assert err.value.details["iterations"] == 3
+
+
+def _traced(call):
+    """call()'s result, or the ObsavgError it raised, and its tracemalloc peak."""
+    tracemalloc.start()
+    try:
+        try:
+            outcome = call()
+        except ObsavgError as err:
+            outcome = err
+        return outcome, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_project_memory_guard_matches_its_peak(monkeypatch):
+    # the search may hold one cap-sized complex matrix, 16 cap^2 bytes
+    cap = 1024
+    bound = 16 * cap * cap
+    monkeypatch.setenv("OBSAVG_DIM_CAP", str(cap))
+    project_unbiased_povm(Z, CopySpace(2, 2), (-1.0, 1.0))  # numpy's lazy imports
+    space = CopySpace(2, 7)
+    dim = space.total_dim  # 128
+
+    def accepted(m: int, d: int) -> bool:
+        return d * d * (STACK_BYTES * m + TABLE_BYTES) <= bound
+
+    def search(grid, search_space, **kwargs):
+        return lambda: project_unbiased_povm(Z, search_space, grid,
+                                             rng=np.random.default_rng(5), **kwargs)
+
+    m = 2  # the largest grid accepted at this D: its peak is inside the iteration
+    while accepted(m + 1, dim):
+        m += 1
+    outcome, peak = _traced(search(np.linspace(-1.0, 1.0, m), space,
+                                   max_iterations=2, convergence_tol=1e-300))
+    assert isinstance(outcome, InfeasibleError)
+    assert peak <= bound
+    # two values converge after one step: the peak is at the rotation back
+    assert accepted(2, dim) and not accepted(2, 2 * dim)
+    outcome, peak = _traced(search((-1.0, 1.0), space, convergence_tol=1e-10))
+    assert outcome.iterations == 1
+    assert peak <= bound
+    for grid, refused_space in [(np.linspace(-1.0, 1.0, m + 1), space),
+                                ((-1.0, 1.0), CopySpace(2, 8))]:
+        outcome, peak = _traced(search(grid, refused_space))
+        assert isinstance(outcome, DimensionCapError)
+        assert peak < 2**20
 
 
 def test_random_unbiased_povm_deterministic():
@@ -211,3 +267,38 @@ def test_run_trials_batch():
         assert row["moment_floor"] >= -1e-9
     rows2, summary2 = run_trials(Z, space, cfg, 5)
     assert rows == rows2 and summary == summary2
+
+
+def test_run_trials_records_a_trial_that_does_not_converge(monkeypatch):
+    real = adversary.project_unbiased_povm
+
+    def fail_second_trial(*args, rng, **kwargs):
+        if rng.bit_generator.seed_seq.entropy == 101:
+            raise InfeasibleError("no convergence", details={"reason": "no_convergence"})
+        return real(*args, rng=rng, **kwargs)
+
+    monkeypatch.setattr(adversary, "project_unbiased_povm", fail_second_trial)
+    cfg = AdversaryConfig((-1.0, -0.5, 0.0, 0.5, 1.0), seed=100, max_iterations=700)
+    rows, summary = run_trials(Z, CopySpace(2, 2), cfg, 3)
+    failed = rows[1]
+    assert list(failed) == list(rows[0])
+    assert failed["converged"] is False
+    assert failed["iterations"] == 700
+    metrics = list(failed)[4:]
+    assert metrics == ["n_outcomes", "adversary_error", "canonical_error", "gap",
+                       "unbiasedness_residual", "completeness_residual", "moment_floor"]
+    assert all(failed[key] is None for key in metrics)
+    done = [rows[0], rows[2]]
+    assert all(row["converged"] for row in done)
+    assert summary["trials"] == 3
+    assert summary["converged"] == 2
+    assert summary["min_gap"] == min(row["gap"] for row in done)
+    assert summary["max_gap"] == max(row["gap"] for row in done)
+    assert summary["mean_gap"] == pytest.approx((rows[0]["gap"] + rows[2]["gap"]) / 2)
+    assert summary["max_completeness_residual"] == max(
+        row["completeness_residual"] for row in done)
+    assert summary["min_moment_floor"] == min(row["moment_floor"] for row in done)
+    # a batch of failures only: every summary statistic is empty
+    rows, summary = run_trials(Z, CopySpace(2, 2), AdversaryConfig((-1.0, 1.0), seed=101), 1)
+    assert summary["converged"] == 0
+    assert summary["min_gap"] is None and summary["mean_gap"] is None

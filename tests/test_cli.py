@@ -269,6 +269,16 @@ def test_adversary_default_tol_passes_validation(capsys):
     assert summary["max_completeness_residual"] <= 1e-9
 
 
+def test_adversary_refuses_a_search_beyond_the_memory_cap(capsys, monkeypatch):
+    # D = 4096 passes the dimension cap; eight 4096^2 stacks do not fit
+    monkeypatch.delenv("OBSAVG_DIM_CAP", raising=False)
+    code = main(["adversary", "--observable", "pauli-z", "--copies", "12",
+                 "--trials", "1"])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DIM_CAP"
+
+
 def test_parser_is_reused_across_calls(plus_state_file, capsys):
     calls = [
         ["theta", "--observable", "pauli-z", "--copies", "0"],

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from obsavg.adversary import project_unbiased_povm
 from obsavg.errors import DimensionCapError, DimensionMismatchError
 from obsavg.estimators import (
     TYPE_WORDS,
     EstimationReport,
+    _product_basis,
     canonical_error,
     canonical_povm,
     default_merge_tol,
@@ -170,6 +172,39 @@ def test_estimate_canonical_builds_nothing_on_the_copy_space():
         tracemalloc.stop()
     assert len(report.distribution) == 28
     assert peak < 5 * 2**20
+
+
+def _basis_cases():
+    rng = np.random.default_rng(64)
+    yield np.array([[0.7]]), 3
+    for a in (X, Z, random_hermitian(2, rng)):
+        for n in range(1, 6):
+            yield a, n
+    for a in (np.diag([1.0, 0.0, -1.0]), random_hermitian(3, rng)):
+        for n in range(1, 4):
+            yield a, n
+
+
+@pytest.mark.parametrize("a, n", list(_basis_cases()))
+def test_product_basis_diagonalises_the_dense_copy_average(a, n):
+    obs = Observable(a)
+    space = CopySpace(obs.dim, n)
+    basis, counts = _product_basis(obs, space)
+    theta = counts @ obs.eigenvalues / n
+    rotated = basis.conj().T @ copy_average(obs.matrix, space) @ basis
+    assert np.abs(rotated - np.diag(theta)).max() <= 1e-12
+    assert np.abs(basis.conj().T @ basis - np.eye(space.total_dim)).max() <= 1e-12
+    assert (counts.sum(axis=1) == n).all()
+
+
+def test_product_basis_refuses_a_wrong_dimension_observable():
+    space = CopySpace(3, 2)
+    with pytest.raises(DimensionMismatchError):
+        _product_basis(Observable(Z), space)
+    with pytest.raises(DimensionMismatchError):
+        canonical_povm(Z, space)
+    with pytest.raises(DimensionMismatchError):
+        project_unbiased_povm(Z, space, (-1.0, 0.0, 1.0))
 
 
 def test_canonical_povm_stack_guard(monkeypatch):
