@@ -44,16 +44,12 @@ from .linops import (
     Observable,
     eigh,
     expect,
-    kron,
-    kron_all,
-    min_eigenvalue,
     pure_state,
     random_density,
     random_hermitian,
     tensor_power,
 )
 from .polarization import (
-    MixtureSpec,
     MomentReconstruction,
     coefficient_extract,
     product_expectation,

@@ -65,7 +65,6 @@ class FeasibilityResult:
     povm: Povm
     iterations: int
     completeness_residual: float
-    unbiasedness_residual: float
 
 
 def _least_norm_coefficients(allow: np.ndarray, values: np.ndarray):
@@ -200,12 +199,10 @@ def project_unbiased_povm(a, space: CopySpace, value_grid,
             res_eye = float(np.abs(elements.sum(axis=0) - target_eye).max())
             if res_eye <= convergence_tol:
                 elements.setflags(write=False)
-                povm = Povm(values, elements, space)
                 return FeasibilityResult(
-                    povm=povm,
+                    povm=Povm(values, elements, space),
                     iterations=iteration,
                     completeness_residual=res_eye,
-                    unbiasedness_residual=povm.unbiasedness_residual(obs),
                 )
             del elements  # one stack fewer while the iteration goes on
         residual = max(res_eye, res_avg)

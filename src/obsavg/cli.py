@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import operator
 import re
 import sys
 from pathlib import Path
@@ -31,7 +32,6 @@ from .linops import (
     trace_product,
 )
 from .polarization import (
-    MixtureSpec,
     coefficient_extract,
     product_grid_expectations,
     random_probe_states,
@@ -103,34 +103,26 @@ def _infer_copies(local_dim: int, total_dim: int, requested: int | None) -> int:
     return n
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _number(kind: type, relation: str, low: int):
+    """argparse type: kind(text), refused unless `value relation low` (">=" or ">") holds."""
+    noun = "an integer" if kind is int else "a number"
+    holds = operator.ge if relation == ">=" else operator.gt
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not {noun}") from None
+        if not holds(value, low):
+            raise argparse.ArgumentTypeError(f"must be {relation} {low}, got {value}")
+        return value
+
+    return parse
 
 
-def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
-    return value
+_positive_int = _number(int, ">=", 1)
+_nonneg_int = _number(int, ">=", 0)
+_positive_float = _number(float, ">", 0)
 
 
 def _grid_spec(text: str):
@@ -250,27 +242,12 @@ def _cmd_sample(opt: dict) -> int:
     return 0
 
 
-def _cmd_canonical(opt: dict) -> int:
+def _cmd_estimate(opt: dict) -> int:
+    """canonical and simulate: the two estimation routes share one report shape."""
+    route = estimate_canonical if opt["command"] == "canonical" else simulate_repeated
     obs = _load_observable(opt["observable"])
     state = _load_state(opt["state"])
-    report = estimate_canonical(
-        obs,
-        state,
-        opt["copies"],
-        shots=opt["shots"],
-        seed=opt["seed"],
-        merge_tol=opt["merge_tol"],
-    )
-    _emit(report.to_dict(), opt["out"])
-    if opt["csv"] is not None and report.distribution is not None:
-        jsonio.write_text(jsonio.distribution_csv(report.distribution), opt["csv"])
-    return 0
-
-
-def _cmd_simulate(opt: dict) -> int:
-    obs = _load_observable(opt["observable"])
-    state = _load_state(opt["state"])
-    report = simulate_repeated(
+    report = route(
         obs,
         state,
         opt["copies"],
@@ -311,9 +288,7 @@ def _cmd_lemma_demo(opt: dict) -> int:
 
     # multilinear coefficient identity on random vectors
     vectors = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(n)]
-    weights = rng.uniform(0.5, 1.5, size=n)
-    mixture = MixtureSpec.build(weights, vectors)
-    lhs = coefficient_extract(target, mixture)
+    lhs = coefficient_extract(target, vectors)
     rhs = symmetrized_product_sum(target, vectors)
     coeff_residual = abs(lhs - rhs) / max(1.0, abs(rhs))
 
@@ -359,8 +334,8 @@ _HANDLERS = {
     "verify-povm": _cmd_verify_povm,
     "error": _cmd_error,
     "sample": _cmd_sample,
-    "canonical": _cmd_canonical,
-    "simulate": _cmd_simulate,
+    "canonical": _cmd_estimate,
+    "simulate": _cmd_estimate,
     "lemma-demo": _cmd_lemma_demo,
     "adversary": _cmd_adversary,
 }
@@ -404,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--povm", required=True)
     p.add_argument("--state", required=True)
     p.add_argument("--shots", type=_nonneg_int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonneg_int, default=0)
     p.add_argument("--copies", type=_positive_int, default=None)
     p.add_argument("--csv", default=None)
 
@@ -413,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True)
     p.add_argument("--copies", type=_positive_int, required=True)
     p.add_argument("--shots", type=_nonneg_int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonneg_int, default=0)
     p.add_argument("--merge-tol", dest="merge_tol", type=_positive_float, default=None)
     p.add_argument("--csv", default=None)
 
@@ -422,14 +397,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True)
     p.add_argument("--copies", type=_positive_int, required=True)
     p.add_argument("--shots", type=_positive_int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonneg_int, default=0)
     p.add_argument("--merge-tol", dest="merge_tol", type=_positive_float, default=None)
     p.add_argument("--csv", default=None)
 
     p = add("lemma-demo", "reconstruction identities on random instances")
     p.add_argument("--dim", type=_positive_int, default=2)
     p.add_argument("--copies", type=_positive_int, default=2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonneg_int, default=0)
     p.add_argument("--probes", type=_positive_int, help="default: invariant basis size + 6")
 
     p = add("adversary", "random unbiased competitor trials")
@@ -438,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_positive_int, required=True)
     p.add_argument("--grid", type=_grid_spec, default=8,
                    help="spanning grid size, or explicit comma-separated values")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonneg_int, default=0)
     p.add_argument("--tol", type=_positive_float, default=1e-9)
     p.add_argument("--max-iterations", dest="max_iterations", type=_positive_int,
                    default=5000)

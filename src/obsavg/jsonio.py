@@ -71,7 +71,10 @@ def _real_grid(data, dim: int, key: str, where: str) -> np.ndarray:
         for j, v in enumerate(row):
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise FormatError(f"{where}: '{key}'[{i}][{j}] is not a number")
-            out[i, j] = float(v)
+            try:
+                out[i, j] = float(v)
+            except OverflowError:  # an integer beyond float range
+                raise FormatError(f"{where}: '{key}'[{i}][{j}] is too large for a float") from None
     return out
 
 
@@ -80,8 +83,8 @@ def matrix_to_json(m: np.ndarray) -> dict:
     m = np.asarray(m, dtype=np.complex128)
     return {
         "dim": int(m.shape[0]),
-        "re": [[float(v) for v in row] for row in m.real],
-        "im": [[float(v) for v in row] for row in m.imag],
+        "re": m.real.tolist(),
+        "im": m.imag.tolist(),
     }
 
 
@@ -110,7 +113,7 @@ def _load_json(path: str | Path, where: str):
         raise FormatError(f"{where}: cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise FormatError(f"{where}: {path} is not valid JSON: {exc}") from exc
 
 
@@ -148,7 +151,10 @@ def povm_from_json(data, space: CopySpace | None = None,
         value = entry.get("value")
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise FormatError(f"{where}: outcome {k} 'value' is not a number")
-        values.append(float(value))
+        try:
+            values.append(float(value))
+        except OverflowError:
+            raise FormatError(f"{where}: outcome {k} 'value' is too large for a float") from None
         elements.append(
             matrix_from_json({"dim": dim, "re": entry.get("re"),
                               "im": entry.get("im")},
@@ -175,13 +181,7 @@ def distribution_csv(dist: OutcomeDistribution) -> str:
 def _csv_cell(v) -> str:
     if v is None:
         return ""
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return format_float(float(v))
-    return str(v)
+    return v if isinstance(v, str) else _serialize(v)
 
 
 def rows_csv(rows: list[dict]) -> str:

@@ -5,10 +5,8 @@ treated as immutable once wrapped in Observable / DensityMatrix.
 """
 from __future__ import annotations
 
-import math
 import os
 from functools import cached_property
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -43,16 +41,6 @@ def default_dim_cap() -> int:
     return cap
 
 
-def check_dim_cap(dim: int) -> None:
-    """Raise DimensionCapError when dim exceeds the configured cap."""
-    cap = default_dim_cap()
-    if dim > cap:
-        raise DimensionCapError(
-            f"composite dimension {dim} exceeds cap {cap}",
-            details={"dim": int(dim), "cap": int(cap)},
-        )
-
-
 def check_memory_cap(nbytes: int, what: str, **details) -> None:
     """Raise DimensionCapError when a call's peak, nbytes, exceeds 16 cap^2 bytes."""
     cap = default_dim_cap()
@@ -80,34 +68,13 @@ def hermitian_defect(m: np.ndarray) -> float:
     return float(np.abs(m - m.conj().T).max()) if m.size else 0.0
 
 
-def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
-    return hermitian_defect(as_matrix(m)) <= tol
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with the composite-dimension cap enforced."""
-    ma, mb = as_matrix(a), as_matrix(b)
-    check_dim_cap(ma.shape[0] * mb.shape[0])
-    return np.kron(ma, mb)
-
-
-def kron_all(mats: Sequence) -> np.ndarray:
-    """Left-to-right Kronecker product of a nonempty sequence of matrices."""
-    mats = list(mats)
-    if not mats:
-        raise DimensionMismatchError("kron_all needs at least one factor")
-    out = as_matrix(mats[0])
-    for m in mats[1:]:
-        out = kron(out, m)
-    return out
-
-
 def tensor_power(m, n: int) -> np.ndarray:
     """n-fold Kronecker power of a square matrix."""
     if n < 1:
         raise DimensionMismatchError(f"tensor power needs n >= 1, got {n}")
     base = as_matrix(m)
-    check_dim_cap(base.shape[0] ** n)
+    dim = base.shape[0] ** n
+    check_memory_cap(16 * dim * dim, f"composite dimension {dim}", dim=int(dim))
     out = base
     for _ in range(n - 1):
         out = np.kron(out, base)
@@ -151,20 +118,6 @@ def expect(h, rho) -> float:
             details={"imag": float(val.imag)},
         )
     return float(val.real)
-
-
-def min_eigenvalue(m) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
-    mat = as_matrix(m)
-    defect = hermitian_defect(mat)
-    if defect > DEFAULT_TOL:
-        raise OperatorValidationError(
-            f"matrix is not Hermitian (defect {defect:.3e})", details={"defect": defect}
-        )
-    try:
-        return float(np.linalg.eigvalsh(mat)[0])
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigenvalue computation failed: {exc}") from exc
 
 
 def _freeze(m: np.ndarray) -> np.ndarray:

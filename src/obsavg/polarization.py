@@ -23,7 +23,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConditioningError, DimensionMismatchError
-from .linops import DensityMatrix, as_matrix, as_state, check_memory_cap, random_density
+from .linops import (
+    DensityMatrix,
+    as_matrix,
+    as_state,
+    check_memory_cap,
+    random_density,
+    tensor_power,
+    trace_product,
+)
 from .symspace import CopySpace, orbit_sums, pair_orbit_labels
 
 _IPOW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
@@ -123,70 +131,28 @@ def symmetrized_product_sum(x, factors: Sequence[np.ndarray]) -> complex:
     return total
 
 
-@dataclass(frozen=True)
-class MixtureSpec:
-    """A weighted rank-1 mixture sum_j weights[j] |vectors[j]><vectors[j]|."""
-
-    weights: tuple[float, ...]
-    vectors: tuple[np.ndarray, ...]
-
-    @classmethod
-    def build(cls, weights: Sequence[float], vectors: Sequence[np.ndarray]) -> "MixtureSpec":
-        w = tuple(float(v) for v in weights)
-        vecs = tuple(v.copy() for v in _check_factors(vectors))
-        if len(w) != len(vecs):
-            raise DimensionMismatchError(f"{len(w)} weights vs {len(vecs)} vectors")
-        if any(not np.isfinite(v) or v <= 0.0 for v in w):
-            raise DimensionMismatchError("mixture weights must be finite and > 0")
-        return cls(w, vecs)
-
-    @property
-    def size(self) -> int:
-        return len(self.weights)
-
-    @property
-    def local_dim(self) -> int:
-        return self.vectors[0].size
-
-    def operator(self) -> np.ndarray:
-        """The mixture matrix sum_j w_j |psi_j><psi_j| (vectors not normalized)."""
-        out = np.zeros((self.local_dim, self.local_dim), dtype=np.complex128)
-        for w, v in zip(self.weights, self.vectors):
-            out += w * np.outer(v, v.conj())
-        return out
-
-
-def coefficient_extract(x, mixture: MixtureSpec) -> complex:
-    """Coefficient of the all-weights monomial in Tr[X (mixture operator)^ox n].
+def coefficient_extract(x, vectors: Sequence[np.ndarray]) -> complex:
+    """Coefficient of w_1 * ... * w_n in Tr[X (sum_j w_j |psi_j><psi_j|)^ox n].
 
     Tr[X (sum_j w_j P_j)^ox n] is a polynomial in the weights; the
     coefficient of w_1 * ... * w_n is a multilinear functional of the
     projectors alone, computed here by inclusion-exclusion over vector
-    subsets (evaluation at indicator weights, which the polynomial
-    structure makes independent of the mixture's own weights). It equals
-    symmetrized_product_sum(x, mixture.vectors).
+    subsets (evaluation at indicator weights), so no weights are needed.
+    It equals symmetrized_product_sum(x, vectors).
     """
+    vecs = _check_factors(vectors)
     m = as_matrix(x)
-    n = mixture.size
-    d = mixture.local_dim
+    n, d = len(vecs), vecs[0].size
     if m.shape[0] != d**n:
         raise DimensionMismatchError(
-            f"matrix dim {m.shape[0]} does not equal local_dim**size = {d**n}"
+            f"matrix dim {m.shape[0]} does not equal local_dim**n_vectors = {d**n}"
         )
-    projectors = [np.outer(v, v.conj()) for v in mixture.vectors]
+    projectors = [np.outer(v, v.conj()) for v in vecs]
     total = 0.0 + 0.0j
     for mask in range(1, 2**n):
-        q = np.zeros((d, d), dtype=np.complex128)
-        bits = 0
-        for j in range(n):
-            if mask >> j & 1:
-                q += projectors[j]
-                bits += 1
-        power = q
-        for _ in range(n - 1):
-            power = np.kron(power, q)
-        sign = -1.0 if (n - bits) % 2 else 1.0
-        total += sign * complex(np.einsum("ij,ji->", m, power))
+        chosen = [p for j, p in enumerate(projectors) if mask >> j & 1]
+        sign = -1.0 if (n - len(chosen)) % 2 else 1.0
+        total += sign * trace_product(m, tensor_power(sum(chosen), n))
     return total
 
 

@@ -6,7 +6,7 @@ trace rule p_m = Tr[E_m rho].
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -88,7 +88,6 @@ class PovmValidation:
     completeness_residual: float
     psd_tol: float
     completeness_tol: float
-    element_min_eigenvalues: np.ndarray = field(repr=False)
 
     @property
     def psd_ok(self) -> bool:
@@ -179,7 +178,7 @@ class Povm:
                  completeness_tol: float = DEFAULT_TOL) -> PovmValidation:
         """Check hermiticity and positivity of every element plus completeness."""
         defect = max(hermitian_defect(e) for e in self.elements)
-        mins = np.array(
+        lowest = np.min(
             [np.linalg.eigvalsh((e + e.conj().T) / 2.0)[0] for e in self.elements]
         )
         residual = float(
@@ -187,11 +186,10 @@ class Povm:
         )
         return PovmValidation(
             hermiticity_defect=float(defect),
-            min_eigenvalue=float(mins.min()),
+            min_eigenvalue=float(lowest),
             completeness_residual=residual,
             psd_tol=psd_tol,
             completeness_tol=completeness_tol,
-            element_min_eigenvalues=mins,
         )
 
     def require_valid(self, psd_tol: float = DEFAULT_TOL,

@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, OperatorValidationError
-from .linops import DEFAULT_TOL, as_matrix, check_dim_cap
+from .linops import DEFAULT_TOL, as_matrix, check_memory_cap
 
 # index pairs per row block while labelling orbits: bounds the temporaries
 _BLOCK_PAIRS = 1 << 20
@@ -86,7 +86,8 @@ class CopySpace:
             raise DimensionMismatchError(f"local_dim must be >= 1, got {self.local_dim}")
         if self.n_copies < 1:
             raise DimensionMismatchError(f"n_copies must be >= 1, got {self.n_copies}")
-        check_dim_cap(self.total_dim)
+        dim = self.total_dim
+        check_memory_cap(16 * dim * dim, f"composite dimension {dim}", dim=dim)
 
     @property
     def total_dim(self) -> int:

@@ -31,7 +31,6 @@ from obsavg.estimators import (
 )
 from obsavg.linops import pure_state, random_density, random_hermitian, trace_product, tensor_power
 from obsavg.polarization import (
-    MixtureSpec,
     coefficient_extract,
     product_expectation,
     random_probe_states,
@@ -255,8 +254,7 @@ def test_coefficient_identity(capsys):
         x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         vectors = [rng.standard_normal(d) + 1j * rng.standard_normal(d)
                    for _ in range(n)]
-        weights = rng.uniform(0.5, 1.5, size=n)
-        lhs = coefficient_extract(x, MixtureSpec.build(weights, vectors))
+        lhs = coefficient_extract(x, vectors)
         rhs = symmetrized_product_sum(x, vectors)
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     ok = worst <= 1e-9

@@ -329,3 +329,43 @@ def test_semantic_errors_exit_1(write_operator, plus_state_file, capsys):
     assert code == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "DIM_CAP"
+
+
+def test_negative_seeds_are_usage_errors(canonical_povm_file, plus_state_file, capsys):
+    # including the calls that draw nothing (--shots 0), which used to accept them
+    calls = [
+        ["lemma-demo", "--seed", "-1"],
+        ["adversary", "--observable", "pauli-z", "--copies", "1", "--trials", "1",
+         "--seed", "-3"],
+        ["canonical", "--observable", "pauli-z", "--state", plus_state_file,
+         "--copies", "2", "--shots", "0", "--seed", "-1"],
+        ["simulate", "--observable", "pauli-z", "--state", plus_state_file,
+         "--copies", "2", "--shots", "5", "--seed", "-1"],
+        ["sample", "--povm", canonical_povm_file, "--state", plus_state_file,
+         "--shots", "0", "--seed", "-1"],
+    ]
+    for argv in calls:
+        assert main(argv) == 2
+        assert "argument --seed: must be >= 0, got -" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    '{"dim": 1, "re": [[1%s]]}' % ("0" * 400),  # beyond float range
+    '{"dim": 1, "re": [[1%s]]}' % ("0" * 5000),  # beyond the int-to-text digit limit
+    "[" * 100_000 + "]" * 100_000,  # beyond the decoder's recursion limit
+], ids=["float-range", "digit-limit", "deep-nesting"])
+def test_unreadable_numbers_and_nesting_are_format_errors(tmp_path, capsys, text):
+    path = tmp_path / "op.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["twirl", "--input", str(path), "--local-dim", "1"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "BAD_FORMAT"
+
+
+def test_povm_value_beyond_float_range_is_a_format_error(tmp_path, capsys):
+    path = tmp_path / "povm.json"
+    path.write_text('{"dim": 1, "outcomes": [{"value": 1%s, "re": [[1]]}]}' % ("0" * 400),
+                    encoding="utf-8")
+    assert main(["verify-povm", "--povm", str(path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "BAD_FORMAT"
+    assert "outcome 0 'value' is too large for a float" in err["message"]

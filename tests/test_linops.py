@@ -16,51 +16,16 @@ from obsavg.linops import (
     eigh,
     expect,
     hermitian_defect,
-    kron,
-    kron_all,
-    min_eigenvalue,
     pure_state,
     random_density,
     random_hermitian,
     tensor_power,
     trace_product,
 )
+from obsavg.symspace import CopySpace
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-
-
-def test_kron_pauli_example():
-    out = kron(Z, Z)
-    assert np.array_equal(out, np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex))
-
-
-def test_kron_trace_factorizes():
-    rng = np.random.default_rng(7)
-    a = random_hermitian(3, rng)
-    b = random_hermitian(4, rng)
-    assert np.trace(kron(a, b)) == pytest.approx(np.trace(a) * np.trace(b))
-
-
-def test_kron_mixed_product_property():
-    rng = np.random.default_rng(8)
-    a, b = random_hermitian(2, rng), random_hermitian(3, rng)
-    c, d = random_hermitian(2, rng), random_hermitian(3, rng)
-    lhs = kron(a, b) @ kron(c, d)
-    rhs = kron(a @ c, b @ d)
-    assert np.abs(lhs - rhs).max() < 1e-12
-
-
-def test_kron_respects_cap():
-    with pytest.raises(DimensionCapError):
-        kron(np.eye(70), np.eye(70))
-
-
-def test_kron_all_matches_chain():
-    rng = np.random.default_rng(9)
-    mats = [random_hermitian(2, rng) for _ in range(3)]
-    expected = np.kron(np.kron(mats[0], mats[1]), mats[2])
-    assert np.abs(kron_all(mats) - expected).max() == 0.0
 
 
 def test_tensor_power_small():
@@ -108,14 +73,6 @@ def test_expect_dim_mismatch():
         expect(Z, np.eye(3) / 3)
 
 
-def test_min_eigenvalue_examples():
-    assert min_eigenvalue(np.diag([3.0, -2.0, 7.0])) == pytest.approx(-2.0)
-    rng = np.random.default_rng(13)
-    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    psd = g @ g.conj().T
-    assert min_eigenvalue(psd) >= -1e-12
-
-
 def test_as_matrix_rejects_bad_input():
     with pytest.raises(OperatorValidationError):
         as_matrix(np.zeros((2, 3)))
@@ -159,7 +116,7 @@ def test_density_matrix_validation():
     rng = np.random.default_rng(16)
     rho = random_density(3, rng)
     assert np.trace(rho.matrix).real == pytest.approx(1.0)
-    assert min_eigenvalue(rho.matrix) >= -1e-12
+    assert np.linalg.eigvalsh(rho.matrix)[0] >= -1e-12
     with pytest.raises(StateValidationError):
         DensityMatrix(np.eye(2))  # trace 2
     with pytest.raises(StateValidationError):
@@ -194,7 +151,7 @@ def test_dim_cap_env_override(monkeypatch):
     monkeypatch.setenv("OBSAVG_DIM_CAP", "16")
     assert default_dim_cap() == 16
     with pytest.raises(DimensionCapError):
-        kron(np.eye(5), np.eye(5))
+        tensor_power(np.eye(5), 2)
     monkeypatch.setenv("OBSAVG_DIM_CAP", "not-a-number")
     with pytest.raises(ObsavgError):
         default_dim_cap()
@@ -205,3 +162,17 @@ def test_random_density_rank_control():
     rho = random_density(4, rng, rank=1)
     w = np.linalg.eigvalsh(rho.matrix)
     assert np.sum(w > 1e-12) == 1
+
+
+@pytest.mark.parametrize("build", [
+    lambda d, n: CopySpace(d, n).total_dim,
+    lambda d, n: tensor_power(np.eye(d), n).shape[0],
+], ids=["copy-space", "tensor-power"])
+def test_dim_cap_boundary(monkeypatch, build):
+    monkeypatch.setenv("OBSAVG_DIM_CAP", "27")
+    assert build(3, 3) == 27  # D = cap is accepted
+    for d, n in ((28, 1), (2, 5)):
+        with pytest.raises(DimensionCapError) as info:
+            build(d, n)
+        assert info.value.code == "DIM_CAP"
+        assert info.value.details["dim"] == d**n

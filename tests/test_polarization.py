@@ -7,7 +7,6 @@ import pytest
 from obsavg.errors import ConditioningError, DimensionCapError, DimensionMismatchError
 from obsavg.linops import random_density, random_hermitian, tensor_power, trace_product
 from obsavg.polarization import (
-    MixtureSpec,
     coefficient_extract,
     product_expectation,
     product_grid_expectations,
@@ -138,24 +137,12 @@ def test_symmetrized_sum_invariant_operator_collapses():
     assert total == pytest.approx(math.factorial(3) * single)
 
 
-def test_mixture_spec_validation():
-    v = np.array([1.0, 0.0])
-    m = MixtureSpec.build([0.5, 1.5], [v, v])
-    assert m.size == 2 and m.local_dim == 2
-    assert np.allclose(m.operator(), np.diag([2.0, 0.0]))
-    with pytest.raises(DimensionMismatchError):
-        MixtureSpec.build([1.0], [v, v])
-    with pytest.raises(DimensionMismatchError):
-        MixtureSpec.build([1.0, -0.5], [v, v])
-
-
 def test_coefficient_extract_single_copy():
     rng = np.random.default_rng(64)
     x = _random_matrix(rng, 2)
     v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    m = MixtureSpec.build([0.7], [v])
     # n = 1: the coefficient is just Tr[X |v><v|]
-    assert coefficient_extract(x, m) == pytest.approx(
+    assert coefficient_extract(x, [v]) == pytest.approx(
         complex(np.trace(x @ np.outer(v, v.conj())))
     )
 
@@ -163,8 +150,7 @@ def test_coefficient_extract_single_copy():
 def test_coefficient_extract_orthonormal_identity():
     # X = I, orthonormal vectors: every permutation term is 1, so the sum is n!
     eye = np.eye(2)
-    m = MixtureSpec.build([1.0, 1.0], [eye[0], eye[1]])
-    assert coefficient_extract(np.eye(4, dtype=complex), m) == pytest.approx(
+    assert coefficient_extract(np.eye(4, dtype=complex), [eye[0], eye[1]]) == pytest.approx(
         math.factorial(2)
     )
 
@@ -177,20 +163,20 @@ def test_coefficient_extract_matches_symmetrized_sum(d, n):
         vectors = [
             rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(n)
         ]
-        weights = rng.uniform(0.5, 1.5, size=n)
-        m = MixtureSpec.build(weights, vectors)
-        lhs = coefficient_extract(x, m)
+        lhs = coefficient_extract(x, vectors)
         rhs = symmetrized_product_sum(x, vectors)
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
 
 
-def test_coefficient_extract_independent_of_weights():
+def test_coefficient_extract_refuses_bad_shapes():
     rng = np.random.default_rng(66)
-    x = _random_matrix(rng, 4)
     vectors = [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(2)]
-    a = coefficient_extract(x, MixtureSpec.build([1.0, 1.0], vectors))
-    b = coefficient_extract(x, MixtureSpec.build([0.1, 9.0], vectors))
-    assert a == pytest.approx(b)
+    with pytest.raises(DimensionMismatchError):
+        coefficient_extract(_random_matrix(rng, 8), vectors)  # X on 3 copies, 2 vectors
+    with pytest.raises(DimensionMismatchError):
+        coefficient_extract(_random_matrix(rng, 6), [vectors[0], np.ones(3)])
+    with pytest.raises(DimensionMismatchError):
+        coefficient_extract(_random_matrix(rng, 1), [])
 
 
 def test_reconstruct_from_moments_recovers_invariant_operator():
