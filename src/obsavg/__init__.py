@@ -68,13 +68,10 @@ from .povm import (
 )
 from .symspace import (
     CopySpace,
-    Permutation,
     copy_average,
     invariant_basis,
-    is_perm_invariant,
     lift,
     pair_orbit_labels,
-    permutation_operator,
     twirl,
 )
 

@@ -8,23 +8,29 @@ a stress test.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import InfeasibleError, ObsavgError, PovmValidationError
 from .estimators import _product_basis, canonical_error
-from .linops import as_observable, as_state, check_memory_cap, random_density
+from .linops import as_observable, as_state, check_memory_cap, random_density, tensor_power
 from .povm import UNBIASED_TOL, Povm, moment_inequality_floor
 from .symspace import CopySpace
 
-# bytes per (M, D, D) and per (D, D) entry at project_unbiased_povm's peak:
+# bytes per (M, D, D) and per (D, D) entry at the product-basis search's peak:
 # three complex stacks (iterate, scratch, eigh's output) and the bool masks;
 # (D, D) tables and temporaries measured 6 to 10.4 complex matrices
 # (tracemalloc, d = 2 and 3, D = 64 to 256, M = 2 to 16)
 STACK_BYTES = 3 * 16 + 1
 TABLE_BYTES = 12 * 16
+# complex (D, D) matrices beside the lifted (M, D, D) stack at the peak of a
+# qubit trial, which comes in compare's dense checks of the lifted POVM:
+# measured 5.0 to 5.5 (tracemalloc, run_trials, D = 128 to 512, M = 2 to 8)
+LIFT_MATRICES = 6
 
 
 @dataclass(frozen=True)
@@ -68,7 +74,7 @@ class FeasibilityResult:
 
 
 def _least_norm_coefficients(allow: np.ndarray, values: np.ndarray):
-    """(D, D) tables p, q, s of the affine step's least-norm correction.
+    """(R, R) tables p, q, s of the affine step's least-norm correction, R rows.
 
     Over the outcomes allowed to touch an entry, c_m = l1 + r_m l2 with
     l1 = p gap_eye + q gap_avg and l2 = q gap_eye + s gap_avg; an entry that
@@ -84,6 +90,290 @@ def _least_norm_coefficients(allow: np.ndarray, values: np.ndarray):
     return p, q, s
 
 
+def _allowed(obs, values: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """(M, R) forced supports: may outcome m touch the row with copy average theta?
+
+    An outcome below the top grid value must vanish on the top eigenspace
+    of the copy average, and symmetrically at the bottom.
+    """
+    scale = max(1.0, abs(obs.lambda_min), abs(obs.lambda_max))
+    vtol = max(1e-12 * scale, 1e-10)
+    top, bottom = values.max() - vtol, values.min() + vtol
+    return ~(((values < top)[:, None] & (theta >= top))
+             | ((values > bottom)[:, None] & (theta <= bottom)))
+
+
+def _alternate(f, values, masks, target_eye, target_avg, p, q, s):
+    """Alternating projections on the element stack f, shape (..., M, R, R), in place.
+
+    Before each step it yields the completeness and first-moment gaps,
+    target - current, and a scratch stack the caller may overwrite.
+    """
+    step = np.empty_like(f)
+    while True:
+        gap_eye = target_eye - f.sum(axis=-3)
+        gap_avg = target_avg - np.tensordot(values, f, axes=([0], [f.ndim - 3]))
+        yield gap_eye, gap_avg, step
+        # affine projection: the least-norm correction l1 + r_m l2
+        np.multiply(values[:, None, None], (q * gap_eye + s * gap_avg)[..., None, :, :],
+                    out=step)
+        step += (p * gap_eye + q * gap_avg)[..., None, :, :]
+        step *= masks
+        f += step
+        # cone projection of the Hermitian part: clip eigenvalues, keep
+        # forced zeros; step's buffer takes the conjugate transposes
+        np.conjugate(f.swapaxes(-1, -2), out=step)
+        f += step
+        f *= 0.5
+        w, v = np.linalg.eigh(f)
+        np.conjugate(v.swapaxes(-1, -2), out=step)
+        v *= np.clip(w, 0.0, None)[..., None, :]
+        np.matmul(v, step, out=f)
+        f *= masks
+        del w, v  # eigh's next output would otherwise meet this one
+
+
+def _no_convergence(tol: float, max_iterations: int, residual: float) -> InfeasibleError:
+    return InfeasibleError(
+        f"no convergence to {tol:.1e} within {max_iterations} iterations "
+        f"(residual {residual:.3e})",
+        details={"reason": "no_convergence", "residual": residual,
+                 "iterations": max_iterations},
+    )
+
+
+def _start_stack(start, n_out: int, dim: int) -> np.ndarray:
+    f = np.asarray(start, dtype=np.complex128)
+    if f.shape != (n_out, dim, dim):
+        raise ObsavgError(
+            f"start must have shape ({n_out}, {dim}, {dim}), got {f.shape}",
+            code="BAD_GRID",
+        )
+    return f
+
+
+@lru_cache(maxsize=16)
+def _spin_blocks(n: int) -> tuple[tuple[slice, int, slice], ...]:
+    """(rows, mult, cols) of each spin block of n qubits, largest spin first.
+
+    Block b has spin j = n/2 - b: its rows are the weights (numbers of 1
+    digits) b..n-b of the padded (n+1, n+1) block stack, its multiplicity
+    is C(n, b) - C(n, b-1), and its columns of _spin_basis(n) run over
+    (weight, copy of the irrep), the copy index fastest.
+    """
+    blocks, col = [], 0
+    for b in range(n // 2 + 1):
+        size = n + 1 - 2 * b
+        mult = math.comb(n, b) - (math.comb(n, b - 1) if b else 0)
+        blocks.append((slice(b, n + 1 - b), mult, slice(col, col + size * mult)))
+        col += size * mult
+    return tuple(blocks)
+
+
+@lru_cache(maxsize=16)
+def _block_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Identity and entry mask of each padded spin block, (blocks, n+1, n+1), read-only."""
+    eye = np.zeros((n // 2 + 1, n + 1, n + 1))
+    for b, (rows, _, _) in enumerate(_spin_blocks(n)):
+        eye[b, rows, rows] = np.eye(rows.stop - rows.start)
+    inside = eye.any(axis=-1)
+    support = inside[:, :, None] & inside[:, None, :]
+    eye.setflags(write=False)
+    support.setflags(write=False)
+    return eye, support
+
+
+@lru_cache(maxsize=4)
+def _spin_basis(n: int) -> np.ndarray:
+    """Unitary (D, D) basis of n qubits coupled to total spin.
+
+    Column (b, w, mu) of block b is J_-^(n-b-w) h_mu, normalised, where the
+    h_mu are an orthonormal basis of the kernel of J_+ on weight n - b (the
+    highest-weight vectors of spin n/2 - b). Every copy mu then carries the
+    same standard spin basis, so an operator that commutes with the copy
+    permutations is X_b (x) I on block b. Digit 1 counts as spin up.
+    Complex, so that its one eigensolve is the Hermitian one the search
+    runs anyway (a real one loads more LAPACK code: 0.4 MB of resident
+    memory). Read-only, cached for the last four sizes.
+    """
+    dim = 2**n
+    index = np.arange(dim)
+    weight = sum((index >> k) & 1 for k in range(n))
+    members = [np.flatnonzero(weight == w) for w in range(n + 1)]
+    position = np.empty(dim, dtype=np.int64)
+    for ids in members:
+        position[ids] = np.arange(ids.size)
+    # raising[w]: J_+ from weight w to w + 1 as a 0/1 matrix; none leaves weight n
+    raising = [np.zeros((0, 1))] * (n + 1)
+    for w in range(n):
+        src = members[w]
+        up = np.zeros((members[w + 1].size, src.size))
+        for k in range(n):
+            free = np.flatnonzero((src >> k) & 1 == 0)
+            up[position[src[free] | (1 << k)], free] = 1.0
+        raising[w] = up
+    basis = np.zeros((dim, dim), dtype=np.complex128)
+    for b, (rows, mult, cols) in enumerate(_spin_blocks(n)):
+        top = n - b
+        # J_- J_+ on weight top: its kernel is spaced from the rest by >= 2
+        _, vecs = np.linalg.eigh((raising[top].T @ raising[top]).astype(np.complex128))
+        vecs = vecs[:, :mult]
+        block = np.zeros((dim, rows.stop - rows.start, mult), dtype=np.complex128)
+        for w in range(top, b - 1, -1):
+            block[members[w], w - b] = vecs
+            if w > b:
+                vecs = raising[w - 1].T @ vecs / math.sqrt((w - b) * (top - w + 1))
+        basis[:, cols] = block.reshape(dim, -1)
+    basis.setflags(write=False)
+    return basis
+
+
+def _coupled_basis(obs, n: int) -> np.ndarray:
+    """U^(x)n times _spin_basis(n): the spin basis of the observable's eigenvectors.
+
+    U^(x)n is the product basis of estimators._product_basis, first factor
+    most significant, so digit 1 is the eigenvector of the larger eigenvalue.
+    """
+    return tensor_power(obs.eigenvectors, n) @ _spin_basis(n)
+
+
+def _lift_blocks(f: np.ndarray, coupled: np.ndarray) -> np.ndarray:
+    """The (M, D, D) elements sum_b coupled (X_b (x) I) coupled^dagger of a block stack."""
+    n_out, n = f.shape[1], f.shape[-1] - 1
+    dim = coupled.shape[0]
+    elements = np.empty((n_out, dim, dim), dtype=np.complex128)
+    # coupled (X_b (x) I) into the columns of block b (splitting the contiguous
+    # last axis keeps elements' view), then times coupled^dagger
+    for b, (rows, mult, cols) in enumerate(_spin_blocks(n)):
+        shape = (dim, rows.stop - rows.start, mult)
+        np.matmul(f[b, :, rows, rows].swapaxes(-1, -2)[:, None], coupled[:, cols].reshape(shape),
+                  out=elements[:, :, cols].reshape((n_out,) + shape))
+    # in chunks of outcomes, so the product's temporary is one (D, D) matrix
+    # or at most 4096 entries
+    adjoint = coupled.conj().T
+    chunk = max(1, 4096 // (dim * dim))
+    for lo in range(0, n_out, chunk):
+        elements[lo:lo + chunk] = elements[lo:lo + chunk] @ adjoint
+    return elements
+
+
+def _block_part(elements: np.ndarray, coupled: np.ndarray, n: int) -> np.ndarray:
+    """The (blocks, M, n+1, n+1) block stack of the twirl of a (M, D, D) stack.
+
+    Block b of the twirl is the mean over the copies mu of the diagonal
+    (mu, mu) blocks of coupled^dagger F coupled.
+    """
+    n_out, dim, _ = elements.shape
+    f = np.zeros((n // 2 + 1, n_out, n + 1, n + 1), dtype=np.complex128)
+    for m in range(n_out):
+        image = elements[m] @ coupled
+        for b, (rows, mult, cols) in enumerate(_spin_blocks(n)):
+            size = rows.stop - rows.start
+            f[b, m, rows, rows] = np.einsum(
+                "akv,alv->kl", coupled[:, cols].reshape(dim, size, mult).conj(),
+                image[:, cols].reshape(dim, size, mult)) / mult
+    return f
+
+
+def _search_product_basis(obs, space: CopySpace, values: np.ndarray, start, rng,
+                          max_iterations: int, convergence_tol: float) -> FeasibilityResult:
+    """The search on the whole (M, D, D) stack in the product basis U^(x)n."""
+    dim, n_out = space.total_dim, values.size
+    check_memory_cap(dim * dim * (STACK_BYTES * n_out + TABLE_BYTES),
+                     f"adversary search over {n_out} elements of dim {dim}",
+                     outcomes=n_out, dim=dim)
+    basis_q, counts = _product_basis(obs, space)
+    theta = counts @ obs.eigenvalues / space.n_copies
+    allow = _allowed(obs, values, theta)
+    masks = allow[:, :, None] & allow[:, None, :]
+    p, q, s = _least_norm_coefficients(allow, values)
+    target_eye = np.eye(dim)
+
+    if start is not None:
+        f = basis_q.conj().T @ _start_stack(start, n_out, dim) @ basis_q
+    else:
+        if rng is None:
+            rng = np.random.default_rng(0)
+        f = rng.standard_normal((n_out, dim, dim)) + 1j * rng.standard_normal((n_out, dim, dim))
+        f = f @ f.conj().swapaxes(1, 2)
+        f /= dim
+    f *= masks
+
+    steps = _alternate(f, values, masks, target_eye, np.diag(theta), p, q, s)
+    for iteration, (gap_eye, gap_avg, scratch) in enumerate(steps):
+        res_eye = float(np.abs(gap_eye).max())
+        res_avg = float(np.abs(gap_avg).max())
+        if max(res_eye, res_avg) <= convergence_tol:
+            # completeness is judged again in the computational basis, where
+            # Povm.validate checks it: the rotation back can raise the residual
+            elements = np.matmul(basis_q, f, out=scratch) @ basis_q.conj().T
+            res_eye = float(np.abs(elements.sum(axis=0) - target_eye).max())
+            if res_eye <= convergence_tol:
+                elements.setflags(write=False)
+                return FeasibilityResult(Povm(values, elements, space), iteration, res_eye)
+            del elements  # one stack fewer while the iteration goes on
+        if iteration == max_iterations:
+            raise _no_convergence(convergence_tol, max_iterations, max(res_eye, res_avg))
+    raise AssertionError("unreachable")
+
+
+def _search_spin_blocks(obs, space: CopySpace, values: np.ndarray, start, rng,
+                        max_iterations: int, convergence_tol: float) -> FeasibilityResult:
+    """The qubit search on the spin blocks X_b of the permutation-invariant POVMs.
+
+    Rotated onto the observable's eigenbasis, the copy average is
+    lambda_0 + w (lambda_1 - lambda_0) / n on weight w in every block, so
+    the block stack (blocks, M, n+1, n+1) is padded to n + 1 rows and
+    masked to zero outside each block. A block gap bounds every entry of the
+    lifted gap by its spectral norm, so convergence is judged on the
+    Frobenius norm of the block gaps; completeness is judged again after
+    the one lift.
+    """
+    n, dim, n_out = space.n_copies, space.total_dim, values.size
+    check_memory_cap(16 * dim * dim * (n_out + LIFT_MATRICES),
+                     f"adversary search over {n_out} elements of dim {dim}",
+                     outcomes=n_out, dim=dim)
+    weight = np.arange(n + 1)
+    theta = obs.eigenvalues @ np.array([n - weight, weight]) / n
+    allow = _allowed(obs, values, theta)
+    p, q, s = _least_norm_coefficients(allow, values)
+    target_eye, support = _block_tables(n)
+    masks = allow[:, :, None] & allow[:, None, :] & support[:, None]
+
+    coupled = None
+    if start is not None:
+        coupled = _coupled_basis(obs, n)
+        f = _block_part(_start_stack(start, n_out, dim), coupled, n)
+    else:
+        if rng is None:
+            rng = np.random.default_rng(0)
+        shape = masks.shape
+        f = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        f = f @ f.conj().swapaxes(-1, -2)
+        f /= n + 1
+    f *= masks
+
+    threshold = convergence_tol
+    steps = _alternate(f, values, masks, target_eye, target_eye * theta, p, q, s)
+    for iteration, (gap_eye, gap_avg, _) in enumerate(steps):
+        residual = math.sqrt(max(np.vdot(gap_eye, gap_eye).real,
+                                 np.vdot(gap_avg, gap_avg).real))
+        if residual <= threshold:
+            if coupled is None:
+                coupled = _coupled_basis(obs, n)
+            elements = _lift_blocks(f, coupled)
+            res_eye = float(np.abs(elements.sum(axis=0) - np.eye(dim)).max())
+            if res_eye <= convergence_tol:
+                elements.setflags(write=False)
+                return FeasibilityResult(Povm(values, elements, space), iteration, res_eye)
+            # rounding in the lift: lift again once the blocks are twice as close
+            del elements
+            threshold = residual / 2
+        if iteration == max_iterations:
+            raise _no_convergence(convergence_tol, max_iterations, residual)
+    raise AssertionError("unreachable")
+
+
 def project_unbiased_povm(a, space: CopySpace, value_grid,
                           *, start: np.ndarray | None = None,
                           rng: np.random.Generator | None = None,
@@ -92,15 +382,23 @@ def project_unbiased_povm(a, space: CopySpace, value_grid,
     """Find a valid POVM with the given estimate values that is unbiased for a.
 
     Alternating projections between the affine set (completeness plus the
-    first-moment constraint) and the PSD cone, run in the product basis
-    U^(x)n where the copy-averaged observable is diagonal (the basis
-    canonical_povm uses). The affine projection solves a 2x2 least-norm
-    system per matrix entry over the outcomes allowed to touch it. Plain
-    alternation stalls when the solution forces PSD-boundary blocks, so the
-    forced supports are eliminated first: an outcome announcing less than
-    the top grid value must annihilate the top eigenspace of the average
-    (symmetrically at the bottom), which restores a linear convergence rate.
-    Each step acts on the whole (M, D, D) stack at once.
+    first-moment constraint) and the PSD cone, in a basis where the
+    copy-averaged observable is diagonal. The affine projection solves a
+    2x2 least-norm system per matrix entry over the outcomes allowed to
+    touch it. Plain alternation stalls when the solution forces
+    PSD-boundary blocks, so the forced supports are eliminated first: an
+    outcome announcing less than the top grid value must annihilate the top
+    eigenspace of the average (symmetrically at the bottom), which restores
+    a linear convergence rate. Each step acts on the whole stack at once.
+
+    For qubits the search runs on the permutation-invariant POVMs, which
+    lose nothing: rho^(x)n and the copy average commute with every copy
+    permutation, so twirling a POVM keeps it valid and unbiased and keeps
+    its outcome law on every rho^(x)n. These POVMs are sum_j F_(m,j) (x) I
+    over the total spins j (Schur-Weyl duality), so the stack holds the
+    (n+1)-row spin blocks and the POVM is lifted to D x D once, after
+    convergence. Other local dimensions run on the (M, D, D) stack in the
+    product basis U^(x)n (the basis canonical_povm uses).
 
     Parameters
     ----------
@@ -112,8 +410,9 @@ def project_unbiased_povm(a, space: CopySpace, value_grid,
         Estimate value per outcome, each within the observable's spectral
         range; collectively they must cover both spectral endpoints.
     start : ndarray, optional
-        Initial elements, shape (M, D, D), in the computational basis.
-        Random PSD blocks are drawn from rng when omitted.
+        Initial elements, shape (M, D, D), in the computational basis; for
+        qubits only their twirl is used. Random PSD blocks are drawn from
+        rng when omitted.
     rng : numpy Generator, optional
         Source for the random start; defaults to a fresh seeded generator.
 
@@ -123,16 +422,17 @@ def project_unbiased_povm(a, space: CopySpace, value_grid,
         If the grid cannot support an unbiased POVM, or the iteration does
         not reach convergence_tol within max_iterations.
     DimensionCapError
-        Before any (M, D, D) allocation, if the peak counted with STACK_BYTES
-        and TABLE_BYTES exceeds check_memory_cap's bound.
+        Before any (M, D, D) allocation, if the peak exceeds
+        check_memory_cap's bound: for qubits the lifted stack plus
+        LIFT_MATRICES complex (D, D) matrices, otherwise the peak counted
+        with STACK_BYTES and TABLE_BYTES.
     """
     obs = as_observable(a)
     values = np.asarray(value_grid, dtype=np.float64).reshape(-1)
     if values.size < 1 or not np.isfinite(values).all():
         raise ObsavgError("value grid must be nonempty and finite", code="BAD_GRID")
     lo, hi = obs.lambda_min, obs.lambda_max
-    scale = max(1.0, abs(lo), abs(hi))
-    range_tol = 1e-9 * scale
+    range_tol = 1e-9 * max(1.0, abs(lo), abs(hi))
     if values.min() < lo - range_tol or values.max() > hi + range_tol:
         raise ObsavgError(
             f"grid values must stay within the spectral range [{lo:.6g}, {hi:.6g}]",
@@ -151,88 +451,8 @@ def project_unbiased_povm(a, space: CopySpace, value_grid,
                 "lambda_max": hi,
             },
         )
-    dim, n_out = space.total_dim, values.size
-    check_memory_cap(dim * dim * (STACK_BYTES * n_out + TABLE_BYTES),
-                     f"adversary search over {n_out} elements of dim {dim}",
-                     outcomes=n_out, dim=dim)
-    basis_q, counts = _product_basis(obs, space)
-    theta = counts @ obs.eigenvalues / space.n_copies
-
-    # forced supports: outcomes below the top value must vanish on the top
-    # eigenspace of the average, and symmetrically at the bottom
-    vtol = max(1e-12 * scale, 1e-10)
-    top, bottom = values.max() - vtol, values.min() + vtol
-    allow = ~(((values < top)[:, None] & (theta >= top))
-              | ((values > bottom)[:, None] & (theta <= bottom)))
-    masks = allow[:, :, None] & allow[:, None, :]
-
-    p, q, s = _least_norm_coefficients(allow, values)
-    target_eye = np.eye(dim)
-    target_avg = np.diag(theta)
-
-    if start is not None:
-        f = np.asarray(start, dtype=np.complex128)
-        if f.shape != (n_out, dim, dim):
-            raise ObsavgError(
-                f"start must have shape ({n_out}, {dim}, {dim}), got {f.shape}",
-                code="BAD_GRID",
-            )
-        f = basis_q.conj().T @ f @ basis_q
-    else:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        f = rng.standard_normal((n_out, dim, dim)) + 1j * rng.standard_normal((n_out, dim, dim))
-        f = f @ f.conj().swapaxes(1, 2)
-        f /= dim
-    f *= masks
-    step = np.empty_like(f)
-
-    for iteration in range(max_iterations + 1):
-        gap_eye = target_eye - f.sum(axis=0)
-        gap_avg = target_avg - np.tensordot(values, f, axes=1)
-        res_eye = float(np.abs(gap_eye).max())
-        res_avg = float(np.abs(gap_avg).max())
-        if max(res_eye, res_avg) <= convergence_tol:
-            # completeness is judged again in the computational basis, where
-            # Povm.validate checks it: the rotation back can raise the residual
-            elements = np.matmul(basis_q, f, out=step) @ basis_q.conj().T
-            res_eye = float(np.abs(elements.sum(axis=0) - target_eye).max())
-            if res_eye <= convergence_tol:
-                elements.setflags(write=False)
-                return FeasibilityResult(
-                    povm=Povm(values, elements, space),
-                    iterations=iteration,
-                    completeness_residual=res_eye,
-                )
-            del elements  # one stack fewer while the iteration goes on
-        residual = max(res_eye, res_avg)
-        if iteration == max_iterations:
-            raise InfeasibleError(
-                f"no convergence to {convergence_tol:.1e} within "
-                f"{max_iterations} iterations (residual {residual:.3e})",
-                details={
-                    "reason": "no_convergence",
-                    "residual": residual,
-                    "iterations": max_iterations,
-                },
-            )
-        # affine projection: the least-norm correction l1 + r_m l2
-        np.multiply(values[:, None, None], q * gap_eye + s * gap_avg, out=step)
-        step += p * gap_eye + q * gap_avg
-        step *= masks
-        f += step
-        # cone projection of the Hermitian part: clip eigenvalues, keep
-        # forced zeros; step's buffer takes the conjugate transposes
-        np.conjugate(f.swapaxes(1, 2), out=step)
-        f += step
-        f *= 0.5
-        w, v = np.linalg.eigh(f)
-        np.conjugate(v.swapaxes(1, 2), out=step)
-        v *= np.clip(w, 0.0, None)[:, None, :]
-        np.matmul(v, step, out=f)
-        f *= masks
-        del w, v  # eigh's next output would otherwise meet this one
-    raise AssertionError("unreachable")
+    search = _search_spin_blocks if obs.dim == space.local_dim == 2 else _search_product_basis
+    return search(obs, space, values, start, rng, max_iterations, convergence_tol)
 
 
 def random_unbiased_povm(a, space: CopySpace, config: AdversaryConfig) -> Povm:

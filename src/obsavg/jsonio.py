@@ -75,6 +75,9 @@ def _real_grid(data, dim: int, key: str, where: str) -> np.ndarray:
                 out[i, j] = float(v)
             except OverflowError:  # an integer beyond float range
                 raise FormatError(f"{where}: '{key}'[{i}][{j}] is too large for a float") from None
+    if not np.isfinite(out).all():  # 1e400 and the NaN and Infinity tokens
+        i, j = np.argwhere(~np.isfinite(out))[0]
+        raise FormatError(f"{where}: '{key}'[{i}][{j}] is not a finite number")
     return out
 
 
@@ -152,9 +155,12 @@ def povm_from_json(data, space: CopySpace | None = None,
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise FormatError(f"{where}: outcome {k} 'value' is not a number")
         try:
-            values.append(float(value))
+            value = float(value)
         except OverflowError:
             raise FormatError(f"{where}: outcome {k} 'value' is too large for a float") from None
+        if not math.isfinite(value):
+            raise FormatError(f"{where}: outcome {k} 'value' is not a finite number")
+        values.append(value)
         elements.append(
             matrix_from_json({"dim": dim, "re": entry.get("re"),
                               "im": entry.get("im")},

@@ -1,77 +1,23 @@
-"""Permutation action on tensor-power spaces and the symmetric (twirled) algebra.
+"""Copy spaces and the permutation-symmetric (twirled) operator algebra.
 
 Composite indices are big-endian: site 0 is the most significant base-d digit.
-A permutation moves site k of the input to site sigma(k) of the output, so the
-operator acts as P e_(i_0,...,i_{n-1}) = e_(j_0,...,j_{n-1}) with
-j_k = i_{sigma^{-1}(k)}.
+Permuting the copies permutes the composite indices, so an index pair (i, j)
+moves within its orbit, the pairs with the same multiset of per-site digit
+pairs.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, OperatorValidationError
-from .linops import DEFAULT_TOL, as_matrix, check_memory_cap
+from .errors import DimensionMismatchError
+from .linops import as_matrix, check_memory_cap
 
 # index pairs per row block while labelling orbits: bounds the temporaries
 _BLOCK_PAIRS = 1 << 20
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """A permutation of range(n), stored as the image tuple mapping[x] = sigma(x)."""
-
-    mapping: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.mapping)
-        if n < 1 or sorted(self.mapping) != list(range(n)):
-            raise OperatorValidationError(
-                f"mapping must be a permutation of range(n), got {self.mapping!r}"
-            )
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n)))
-
-    @classmethod
-    def from_sequence(cls, seq: Sequence[int]) -> "Permutation":
-        return cls(tuple(int(v) for v in seq))
-
-    @property
-    def n(self) -> int:
-        return len(self.mapping)
-
-    def __call__(self, x: int) -> int:
-        return self.mapping[x]
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for pos, val in enumerate(self.mapping):
-            inv[val] = pos
-        return Permutation(tuple(inv))
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self.compose(other))(x) = self(other(x))."""
-        if self.n != other.n:
-            raise DimensionMismatchError(f"cannot compose sizes {self.n} and {other.n}")
-        return Permutation(tuple(self.mapping[other.mapping[x]] for x in range(self.n)))
-
-
-def transposition(i: int, j: int, n: int) -> Permutation:
-    """The permutation of range(n) swapping i and j."""
-    mapping = list(range(n))
-    mapping[i], mapping[j] = mapping[j], mapping[i]
-    return Permutation(tuple(mapping))
-
-
-def all_permutations(n: int) -> Iterator[Permutation]:
-    for mapping in itertools.permutations(range(n)):
-        yield Permutation(mapping)
 
 
 @dataclass(frozen=True)
@@ -103,26 +49,6 @@ def _digit_table(local_dim: int, n_copies: int) -> tuple[np.ndarray, np.ndarray]
     digits.setflags(write=False)
     weights.setflags(write=False)
     return digits, weights
-
-
-def composite_index_map(sigma: Permutation, space: CopySpace) -> np.ndarray:
-    """t[i] = composite index of the permuted basis vector for input index i."""
-    if sigma.n != space.n_copies:
-        raise DimensionMismatchError(
-            f"permutation of size {sigma.n} on {space.n_copies} copies"
-        )
-    digits, weights = _digit_table(space.local_dim, space.n_copies)
-    inv = np.asarray(sigma.inverse().mapping, dtype=np.int64)
-    return digits[:, inv] @ weights
-
-
-def permutation_operator(sigma: Permutation, space: CopySpace) -> np.ndarray:
-    """Unitary matrix routing site k of the input to site sigma(k) of the output."""
-    t = composite_index_map(sigma, space)
-    dim = space.total_dim
-    p = np.zeros((dim, dim), dtype=np.complex128)
-    p[t, np.arange(dim)] = 1.0
-    return p
 
 
 def lift(a, site: int, space: CopySpace) -> np.ndarray:
@@ -216,23 +142,6 @@ def twirl(x, space: CopySpace) -> np.ndarray:
     labels = pair_orbit_labels(space)
     sizes = np.bincount(labels.reshape(-1))
     return (orbit_sums(x, space) / sizes)[labels]
-
-
-def is_perm_invariant(x, space: CopySpace, tol: float = DEFAULT_TOL) -> bool:
-    """Whether x commutes with every permutation operator, within tol (max-norm).
-
-    Checked on adjacent transpositions only; they generate the full group.
-    """
-    m = as_matrix(x)
-    if m.shape[0] != space.total_dim:
-        raise DimensionMismatchError(
-            f"matrix dim {m.shape[0]} does not match total_dim {space.total_dim}"
-        )
-    for k in range(space.n_copies - 1):
-        t = composite_index_map(transposition(k, k + 1, space.n_copies), space)
-        if np.abs(m[np.ix_(t, t)] - m).max() > tol:
-            return False
-    return True
 
 
 def invariant_basis(space: CopySpace) -> list[np.ndarray]:

@@ -2,9 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from obsavg import adversary
 from obsavg.adversary import (
+    LIFT_MATRICES,
     STACK_BYTES,
     TABLE_BYTES,
     AdversaryConfig,
@@ -18,9 +21,12 @@ from obsavg.errors import DimensionCapError, InfeasibleError, ObsavgError, PovmV
 from obsavg.estimators import canonical_error, canonical_povm, total_variation
 from obsavg.linops import DensityMatrix, Observable, pure_state, random_density, random_hermitian
 from obsavg.povm import Povm
-from obsavg.symspace import CopySpace
+from obsavg.symspace import CopySpace, lift, twirl
+from perm_oracle import is_perm_invariant
 
 Z = np.diag([1.0, -1.0]).astype(complex)
+X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SPIN1_Z = np.diag([1.0, 0.0, -1.0]).astype(complex)
 
 
 def test_config_validation():
@@ -104,19 +110,49 @@ def _traced(call):
 
 
 def test_project_memory_guard_matches_its_peak(monkeypatch):
-    # the search may hold one cap-sized complex matrix, 16 cap^2 bytes
+    # a qubit trial, search and compare, may hold one cap-sized complex matrix
     cap = 1024
     bound = 16 * cap * cap
     monkeypatch.setenv("OBSAVG_DIM_CAP", str(cap))
-    project_unbiased_povm(Z, CopySpace(2, 2), (-1.0, 1.0))  # numpy's lazy imports
-    space = CopySpace(2, 7)
-    dim = space.total_dim  # 128
+    run_trials(X, CopySpace(2, 2), AdversaryConfig((-1.0, 1.0)), 1)  # numpy's lazy imports
+    space = CopySpace(2, 8)
+    dim = space.total_dim  # 256
+
+    def accepted(m: int, d: int) -> bool:
+        return 16 * d * d * (m + LIFT_MATRICES) <= bound
+
+    def trial(size, trial_space, **kwargs):
+        config = AdversaryConfig.spanning_grid(X, size=size, seed=5, **kwargs)
+        return lambda: run_trials(X, trial_space, config, 1)
+
+    m = 2  # the largest grid accepted at this D
+    while accepted(m + 1, dim):
+        m += 1
+    adversary._spin_basis.cache_clear()  # the basis is built inside the trace
+    (_, summary), peak = _traced(trial(m, space, convergence_tol=1e-8))
+    assert summary["converged"] == 1
+    assert 0.8 * bound < peak <= bound
+    assert accepted(2, dim) and not accepted(2, 2 * dim)
+    for size, refused_space in [(m + 1, space), (2, CopySpace(2, 9))]:
+        outcome, peak = _traced(trial(size, refused_space))
+        assert isinstance(outcome, DimensionCapError)
+        assert peak < 2**20
+
+
+def test_product_basis_memory_guard_matches_its_peak(monkeypatch):
+    # the search beyond qubits may hold one cap-sized complex matrix
+    cap = 1024
+    bound = 16 * cap * cap
+    monkeypatch.setenv("OBSAVG_DIM_CAP", str(cap))
+    project_unbiased_povm(SPIN1_Z, CopySpace(3, 2), (-1.0, 1.0))  # numpy's lazy imports
+    space = CopySpace(3, 4)
+    dim = space.total_dim  # 81
 
     def accepted(m: int, d: int) -> bool:
         return d * d * (STACK_BYTES * m + TABLE_BYTES) <= bound
 
     def search(grid, search_space, **kwargs):
-        return lambda: project_unbiased_povm(Z, search_space, grid,
+        return lambda: project_unbiased_povm(SPIN1_Z, search_space, grid,
                                              rng=np.random.default_rng(5), **kwargs)
 
     m = 2  # the largest grid accepted at this D: its peak is inside the iteration
@@ -127,15 +163,103 @@ def test_project_memory_guard_matches_its_peak(monkeypatch):
     assert isinstance(outcome, InfeasibleError)
     assert peak <= bound
     # two values converge after one step: the peak is at the rotation back
-    assert accepted(2, dim) and not accepted(2, 2 * dim)
+    assert accepted(2, dim) and not accepted(2, 3 * dim)
     outcome, peak = _traced(search((-1.0, 1.0), space, convergence_tol=1e-10))
     assert outcome.iterations == 1
     assert peak <= bound
     for grid, refused_space in [(np.linspace(-1.0, 1.0, m + 1), space),
-                                ((-1.0, 1.0), CopySpace(2, 8))]:
+                                ((-1.0, 1.0), CopySpace(3, 5))]:
         outcome, peak = _traced(search(grid, refused_space))
         assert isinstance(outcome, DimensionCapError)
         assert peak < 2**20
+
+
+def _spin_operators(n: int) -> list[np.ndarray]:
+    """J_x, J_y, J_z of n qubits as sums of single-copy lifts, digit 1 as spin up."""
+    space = CopySpace(2, n)
+    halves = [X / 2, np.array([[0.0, 1j], [-1j, 0.0]]) / 2, np.diag([-0.5, 0.5])]
+    return [sum(lift(h, k, space) for k in range(n)) for h in halves]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_spin_basis_is_unitary_and_diagonalises_jz_and_j2(n):
+    basis = adversary._spin_basis(n)
+    assert np.abs(basis.conj().T @ basis - np.eye(2**n)).max() < 1e-13
+    jx, jy, jz = _spin_operators(n)
+    j2 = jx @ jx + jy @ jy + jz @ jz
+    m_z, j_j1 = [], []
+    for b, (rows, mult, cols) in enumerate(adversary._spin_blocks(n)):
+        j = n / 2 - b
+        for w in range(rows.start, rows.stop):
+            m_z += [w - n / 2] * mult
+            j_j1 += [j * (j + 1)] * mult
+    assert np.abs(basis.conj().T @ jz @ basis - np.diag(m_z)).max() < 1e-12
+    assert np.abs(basis.conj().T @ j2 @ basis - np.diag(j_j1)).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_twirl_is_block_times_identity_in_spin_basis(n):
+    rng = np.random.default_rng(40 + n)
+    space = CopySpace(2, n)
+    dim = space.total_dim
+    basis = adversary._spin_basis(n)
+    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    y = basis.conj().T @ twirl(x, space) @ basis
+    for rows, mult, cols in adversary._spin_blocks(n):
+        block = y[cols, cols]
+        x_b = block[::mult, ::mult]
+        assert np.abs(block - np.kron(x_b, np.eye(mult))).max() < 1e-12
+        assert np.abs(x_b).min() > 1e-3
+        y[cols, cols] = 0.0
+    assert np.abs(y).max() < 1e-12
+
+
+def _invariant_start(space: CopySpace, n_out: int, rng) -> np.ndarray:
+    """Random PSD elements, each twirled: a lifted block start."""
+    dim = space.total_dim
+    g = rng.standard_normal((n_out, dim, dim)) + 1j * rng.standard_normal((n_out, dim, dim))
+    return np.stack([twirl(e, space) for e in g @ g.conj().swapaxes(1, 2) / dim])
+
+
+def _check_block_route_against_dense(a, n: int, grid, seed: int) -> None:
+    """The block route and the dense solver from the same invariant start agree."""
+    obs = Observable(a)
+    space = CopySpace(2, n)
+    start = _invariant_start(space, len(grid), np.random.default_rng(seed))
+    block = project_unbiased_povm(obs, space, grid, start=start, convergence_tol=1e-12)
+    dense = adversary._search_product_basis(obs, space, np.asarray(grid, dtype=float), start,
+                                            None, 5000, 1e-12)
+    for result in (block, dense):
+        povm = result.povm
+        assert povm.validate(psd_tol=1e-9, completeness_tol=1e-12).ok
+        assert all(is_perm_invariant(e, space, tol=1e-9) for e in povm.elements)
+        assert povm.unbiasedness_residual(obs) <= 1e-9
+    assert np.abs(block.povm.elements - dense.povm.elements).max() <= 1e-8
+    report = compare(block.povm, obs, random_density(2, np.random.default_rng(seed)))
+    assert report.gap >= -1e-8
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(coefficients=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+       n=st.integers(1, 5), size=st.integers(3, 6), seed=st.integers(0, 2**16))
+def test_block_route_matches_the_dense_solver(coefficients, n, size, seed):
+    a0, ax, ay, az = coefficients
+    # a near-degenerate spectrum leaves the grid values nearly equal, which
+    # makes the least-norm tables singular for both solvers; the exactly
+    # degenerate case is checked on its own below
+    assume(np.hypot(np.hypot(ax, ay), az) >= 0.1)
+    a = np.array([[a0 + az, ax - 1j * ay], [ax + 1j * ay, a0 - az]])
+    grid = AdversaryConfig.spanning_grid(a, size=size).value_grid
+    _check_block_route_against_dense(a, n, grid, seed)
+
+
+@pytest.mark.parametrize("a,n,grid", [
+    (X, 1, (-1.0, 0.0, 1.0)),
+    (Z + 0.5 * X, 2, (-1.118033988749895, -0.3, 0.2, 1.118033988749895)),
+    (2.0 * np.eye(2), 3, (2.0, 2.0, 2.0)),  # degenerate: one eigenvalue
+], ids=["one-copy", "two-copies", "degenerate"])
+def test_block_route_matches_the_dense_solver_at_the_edges(a, n, grid):
+    _check_block_route_against_dense(a, n, grid, seed=9)
 
 
 def test_random_unbiased_povm_deterministic():

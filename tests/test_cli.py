@@ -258,7 +258,8 @@ def test_adversary_infeasible_grid_exits_1(capsys):
 
 
 def test_adversary_default_tol_passes_validation(capsys):
-    # converged in the eigenbasis at 1e-9 but 1.056e-9 incomplete after rotating back
+    # the product-basis search once stopped at 1e-9 here and rotated back to a
+    # completeness residual of 1.056e-9, which compare refuses
     code = main(["adversary", "--observable", "pauli-x", "--copies", "3",
                  "--trials", "10", "--grid", "8", "--seed", "1081653680",
                  "--tol", "1e-9"])
@@ -267,6 +268,23 @@ def test_adversary_default_tol_passes_validation(capsys):
     summary = json.loads(captured.out)
     assert summary["converged"] == 10
     assert summary["max_completeness_residual"] <= 1e-9
+
+
+def test_adversary_runs_qubit_trials_in_spin_blocks(tmp_path, capsys):
+    # D = 128: the search runs on four spin blocks of at most 8 rows, then
+    # the lifted POVM passes the dense checks of compare
+    csv_path = tmp_path / "trials.csv"
+    code = main(["adversary", "--observable", "pauli-y", "--copies", "7", "--trials", "2",
+                 "--grid", "8", "--seed", "3", "--tol", "1e-10", "--csv", str(csv_path)])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    summary = json.loads(captured.out)
+    assert summary["converged"] == 2
+    assert summary["min_gap"] >= -1e-8
+    assert summary["max_unbiasedness_residual"] <= 1e-8
+    assert summary["max_completeness_residual"] <= 1e-10
+    assert summary["min_moment_floor"] >= -1e-9
+    assert len(csv_path.read_text().strip().split("\n")) == 3
 
 
 def test_adversary_refuses_a_search_beyond_the_memory_cap(capsys, monkeypatch):
@@ -353,7 +371,11 @@ def test_negative_seeds_are_usage_errors(canonical_povm_file, plus_state_file, c
     '{"dim": 1, "re": [[1%s]]}' % ("0" * 400),  # beyond float range
     '{"dim": 1, "re": [[1%s]]}' % ("0" * 5000),  # beyond the int-to-text digit limit
     "[" * 100_000 + "]" * 100_000,  # beyond the decoder's recursion limit
-], ids=["float-range", "digit-limit", "deep-nesting"])
+    '{"dim": 1, "re": [[1e400]]}',  # a float literal beyond range parses to inf
+    '{"dim": 2, "re": [[1, 0], [0, NaN]]}',
+    '{"dim": 1, "re": [[0]], "im": [[-Infinity]]}',
+], ids=["float-range", "digit-limit", "deep-nesting", "float-literal-range", "nan-token",
+        "infinity-token"])
 def test_unreadable_numbers_and_nesting_are_format_errors(tmp_path, capsys, text):
     path = tmp_path / "op.json"
     path.write_text(text, encoding="utf-8")
@@ -369,3 +391,14 @@ def test_povm_value_beyond_float_range_is_a_format_error(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "BAD_FORMAT"
     assert "outcome 0 'value' is too large for a float" in err["message"]
+
+
+@pytest.mark.parametrize("value", ["1e400", "NaN", "-Infinity"])
+def test_non_finite_povm_value_is_a_format_error(tmp_path, capsys, value):
+    path = tmp_path / "povm.json"
+    path.write_text('{"dim": 1, "outcomes": [{"value": %s, "re": [[1]]}]}' % value,
+                    encoding="utf-8")
+    assert main(["verify-povm", "--povm", str(path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "BAD_FORMAT"
+    assert "outcome 0 'value' is not a finite number" in err["message"]

@@ -62,6 +62,8 @@ def test_operator_json_defaults_imaginary_to_zero():
         {"dim": 2, "re": [[1.0, 0.0]]},
         {"dim": 2, "re": [[1.0, 0.0], [0.0, "x"]]},
         {"dim": True, "re": [[1.0]]},
+        {"dim": 1, "re": [[float("inf")]]},
+        {"dim": 2, "re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [float("nan"), 0.0]]},
     ],
 )
 def test_operator_json_rejects_malformed(data):

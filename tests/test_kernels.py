@@ -1,13 +1,7 @@
 import numpy as np
 
-from obsavg.symspace import (
-    CopySpace,
-    all_permutations,
-    orbit_sums,
-    pair_orbit_labels,
-    permutation_operator,
-    twirl,
-)
+from obsavg.symspace import CopySpace, orbit_sums, pair_orbit_labels, twirl
+from perm_oracle import all_permutations, permutation_operator
 
 
 def test_twirl_mean_matches_matrix_conjugation_oracle():

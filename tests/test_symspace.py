@@ -7,17 +7,19 @@ from obsavg.errors import DimensionCapError, DimensionMismatchError, OperatorVal
 from obsavg.linops import expect, random_density, random_hermitian
 from obsavg.symspace import (
     CopySpace,
+    copy_average,
+    invariant_basis,
+    lift,
+    pair_orbit_labels,
+    twirl,
+)
+from perm_oracle import (
     Permutation,
     all_permutations,
     composite_index_map,
-    copy_average,
-    invariant_basis,
     is_perm_invariant,
-    lift,
-    pair_orbit_labels,
     permutation_operator,
     transposition,
-    twirl,
 )
 
 Z = np.diag([1.0, -1.0]).astype(complex)
