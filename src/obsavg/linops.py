@@ -183,10 +183,14 @@ class Observable:
         return expect(self._matrix, rho)
 
     def variance(self, rho) -> float:
-        """<A^2> - <A>^2 on a single copy, clipped at zero."""
-        mean = self.expectation(rho)
-        second = expect(self._matrix @ self._matrix, rho)
-        return max(0.0, second - mean * mean)
+        """<(A - <A>)^2> on a single copy, clipped at zero.
+
+        Centred before squaring: <A^2> - <A>^2 cancels to rounding of
+        <A>^2, which the square root of canonical_error lifts to 1e-8 when
+        A is a multiple of the identity.
+        """
+        shifted = self._matrix - self.expectation(rho) * np.eye(self.dim)
+        return max(0.0, expect(shifted @ shifted, rho))
 
     def __repr__(self) -> str:
         return f"Observable(dim={self.dim})"

@@ -152,3 +152,111 @@ def invariant_basis(space: CopySpace) -> list[np.ndarray]:
     """
     labels = pair_orbit_labels(space)
     return [(labels == k).astype(np.complex128) for k in range(int(labels.max()) + 1)]
+
+
+@dataclass(frozen=True)
+class SchurBasis:
+    """A unitary basis of the copy space adapted to Schur-Weyl duality.
+
+    Block b carries the GL(d) irrep V_lambda of a partition lambda of n with
+    at most d rows: its columns run over (row, copy), the copy fastest, with
+    size rows (dim V_lambda) and mult copies (the S_n irrep's dimension).
+    Every copy carries the same weight basis of V_lambda, so an operator
+    that commutes with the copy permutations is X_b (x) I on block b.
+    """
+
+    vectors: np.ndarray                        # (D, D), read-only
+    blocks: tuple[tuple[int, int, slice], ...]  # (size, mult, columns) of each block
+    counts: np.ndarray  # (blocks, R, d) weight of each row, R the largest size; 0 below
+
+
+def _partitions(n: int, rows: int, largest: int) -> list[tuple[int, ...]]:
+    """Partitions of n into at most rows parts of at most largest, descending."""
+    if n == 0 or rows == 0:
+        return [()] if n == 0 else []
+    return [(first,) + rest for first in range(min(n, largest), 0, -1)
+            for rest in _partitions(n - first, rows - 1, first)]
+
+
+@lru_cache(maxsize=4)
+def _schur_basis(local_dim: int, n_copies: int) -> SchurBasis:
+    """The Schur-Weyl basis of n_copies sites of dimension local_dim.
+
+    A digit-a site has weight e_a. E_a moves one digit a + 1 to a, F_a one
+    digit a to a + 1, each summed over the sites, as index arithmetic on the
+    type classes (the indices of one weight). The highest-weight vectors of
+    lambda, the kernel of every E_a on type lambda, give the copies of
+    V_lambda; the F_a then fill out V_lambda one weight at a time. At each
+    weight the coefficients that orthonormalise copy 0 (from its Gram
+    matrix) are applied to every copy, which is what makes the blocks
+    X (x) I. Blocks come in descending order of lambda, rows in ascending
+    order of sum_a a k_a. Complex, so that its eigensolves are the Hermitian
+    ones the search runs anyway (a real one loads more LAPACK code: 0.4 MB
+    of resident memory). Cached for the last four sizes.
+    """
+    d, n = local_dim, n_copies
+    digits, place = _digit_table(d, n)
+    dim = d**n
+    weights = np.stack([(digits == a).sum(axis=1) for a in range(d)], axis=1)
+    types: dict[tuple[int, ...], np.ndarray] = {}
+    position = np.empty(dim, dtype=np.int64)
+    codes = weights @ (n + 1) ** np.arange(d)
+    # grouped by a stable sort, not np.unique, which imports numpy.ma (30 ms)
+    order = np.argsort(codes, kind="stable")
+    for ids in np.split(order, np.flatnonzero(np.diff(codes[order])) + 1):
+        types[tuple(weights[ids[0]].tolist())] = ids
+        position[ids] = np.arange(ids.size)
+
+    def shift(vecs, k, a, b):
+        """Sum over the sites of |b><a| on vectors (rows over type k) and the new type."""
+        src = types[k]
+        moved = list(k)
+        moved[a] -= 1
+        moved[b] += 1
+        moved = tuple(moved)
+        out = np.zeros((types[moved].size,) + vecs.shape[1:], dtype=np.complex128)
+        for site in range(n):
+            hit = digits[src, site] == a
+            out[position[src[hit] + (b - a) * place[site]]] += vecs[hit]
+        return moved, out
+
+    def split(vecs):
+        """Null space of vecs and the coefficients that orthonormalise the rest."""
+        w, v = np.linalg.eigh(vecs.conj().T @ vecs)
+        keep = w > 1e-6 * max(1.0, w[-1])
+        return v[:, ~keep], v[:, keep] / np.sqrt(w[keep])
+
+    vectors = np.zeros((dim, dim), dtype=np.complex128)
+    blocks, counts, col = [], [], 0
+    for shape in _partitions(n, d, n):
+        top = shape + (0,) * (d - len(shape))
+        raised = [shift(np.eye(types[top].size), top, a + 1, a)[1]
+                  for a in range(d - 1) if top[a + 1]]
+        highest, _ = split(np.concatenate(raised) if raised else np.zeros((1, 1)))
+        start, rows, level = col, [], {top: highest[:, None]}
+        while level:
+            lowered: dict[tuple[int, ...], list[np.ndarray]] = {}
+            for k, vecs in level.items():
+                rows += [k] * vecs.shape[1]
+                size = vecs.shape[1] * vecs.shape[2]
+                vectors[types[k][:, None], col + np.arange(size)] = vecs.reshape(-1, size)
+                col += size
+                for a in range(d - 1):
+                    if k[a]:
+                        moved, image = shift(vecs, k, a, a + 1)
+                        lowered.setdefault(moved, []).append(image)
+            # the weights one F_a further down, each orthonormalised on copy 0
+            level = {}
+            for k in sorted(lowered, reverse=True):
+                image = np.concatenate(lowered[k], axis=1)
+                _, coeffs = split(image[:, :, 0])
+                if coeffs.size:
+                    level[k] = (image.swapaxes(1, 2) @ coeffs).swapaxes(1, 2)
+        blocks.append((len(rows), highest.shape[1], slice(start, col)))
+        counts.append(rows)
+    table = np.zeros((len(blocks), max(size for size, _, _ in blocks), d), dtype=np.int64)
+    for b, rows in enumerate(counts):
+        table[b, :len(rows)] = rows
+    vectors.setflags(write=False)
+    table.setflags(write=False)
+    return SchurBasis(vectors, tuple(blocks), table)

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from obsavg import adversary
 from obsavg.adversary import (
     LIFT_MATRICES,
-    STACK_BYTES,
-    TABLE_BYTES,
     AdversaryConfig,
     compare,
     project_unbiased_povm,
@@ -17,11 +15,18 @@ from obsavg.adversary import (
     run_trials,
     smear_povm,
 )
-from obsavg.errors import DimensionCapError, InfeasibleError, ObsavgError, PovmValidationError
+from obsavg.errors import (
+    DimensionCapError,
+    DimensionMismatchError,
+    InfeasibleError,
+    ObsavgError,
+    PovmValidationError,
+)
 from obsavg.estimators import canonical_error, canonical_povm, total_variation
 from obsavg.linops import DensityMatrix, Observable, pure_state, random_density, random_hermitian
 from obsavg.povm import Povm
-from obsavg.symspace import CopySpace, lift, twirl
+from obsavg.symspace import CopySpace, _schur_basis, lift, twirl
+from dense_oracle import search_product_basis
 from perm_oracle import is_perm_invariant
 
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -48,13 +53,14 @@ def test_spanning_grid_endpoints():
 
 
 def test_canonical_start_converges_immediately():
-    space = CopySpace(2, 2)
-    p = canonical_povm(Z, space)
-    result = project_unbiased_povm(
-        Z, space, p.values, start=p.elements, max_iterations=50
-    )
-    assert result.iterations == 0
-    assert result.completeness_residual <= 1e-12
+    for a, space in [(Z, CopySpace(2, 2)), (SPIN1_Z, CopySpace(3, 3))]:
+        p = canonical_povm(a, space)
+        result = project_unbiased_povm(
+            a, space, p.values, start=p.elements, max_iterations=50
+        )
+        assert result.iterations == 0
+        assert result.completeness_residual <= 1e-12
+        assert np.abs(result.povm.elements - p.elements).max() <= 1e-12
 
 
 def test_project_finds_valid_unbiased_povm():
@@ -79,6 +85,13 @@ def test_project_rejects_out_of_range_grid():
     with pytest.raises(ObsavgError) as err:
         project_unbiased_povm(Z, CopySpace(2, 2), (-2.0, 0.0, 2.0))
     assert err.value.code == "BAD_GRID"
+
+
+@pytest.mark.parametrize("a,local_dim", [(Z, 3), (SPIN1_Z, 2)], ids=["qubit-on-qutrits",
+                                                                      "qutrit-on-qubits"])
+def test_project_rejects_an_observable_of_another_dimension(a, local_dim):
+    with pytest.raises(DimensionMismatchError):
+        project_unbiased_povm(a, CopySpace(local_dim, 2), (-1.0, 0.0, 1.0))
 
 
 def test_project_reports_non_convergence():
@@ -109,69 +122,49 @@ def _traced(call):
         tracemalloc.stop()
 
 
-def test_project_memory_guard_matches_its_peak(monkeypatch):
-    # a qubit trial, search and compare, may hold one cap-sized complex matrix
+def _check_trial_memory_guard(monkeypatch, a, n: int, tol: float) -> None:
+    """A trial at n copies, search and compare, may hold one cap-sized complex matrix.
+
+    The largest grid the rule accepts at n copies peaks within 80-100% of
+    the bound; one more grid point, or one more copy, is refused before
+    anything of size D is allocated.
+    """
     cap = 1024
     bound = 16 * cap * cap
     monkeypatch.setenv("OBSAVG_DIM_CAP", str(cap))
-    run_trials(X, CopySpace(2, 2), AdversaryConfig((-1.0, 1.0)), 1)  # numpy's lazy imports
-    space = CopySpace(2, 8)
-    dim = space.total_dim  # 256
+    d = len(a)
+    run_trials(a, CopySpace(d, 2), AdversaryConfig((-1.0, 1.0)), 1)  # numpy's lazy imports
+    space = CopySpace(d, n)
+    dim = space.total_dim
 
-    def accepted(m: int, d: int) -> bool:
-        return 16 * d * d * (m + LIFT_MATRICES) <= bound
+    def accepted(m: int, dim: int) -> bool:
+        return 16 * dim * dim * (m + LIFT_MATRICES) <= bound
 
-    def trial(size, trial_space, **kwargs):
-        config = AdversaryConfig.spanning_grid(X, size=size, seed=5, **kwargs)
-        return lambda: run_trials(X, trial_space, config, 1)
+    def trial(size, trial_space):
+        config = AdversaryConfig.spanning_grid(a, size=size, seed=5, convergence_tol=tol)
+        return lambda: run_trials(a, trial_space, config, 1)
 
     m = 2  # the largest grid accepted at this D
     while accepted(m + 1, dim):
         m += 1
-    adversary._spin_basis.cache_clear()  # the basis is built inside the trace
-    (_, summary), peak = _traced(trial(m, space, convergence_tol=1e-8))
+    _schur_basis.cache_clear()  # the basis is built inside the trace
+    (_, summary), peak = _traced(trial(m, space))
     assert summary["converged"] == 1
     assert 0.8 * bound < peak <= bound
-    assert accepted(2, dim) and not accepted(2, 2 * dim)
-    for size, refused_space in [(m + 1, space), (2, CopySpace(2, 9))]:
+    assert accepted(2, dim) and not accepted(2, d * dim)
+    for size, refused_space in [(m + 1, space), (2, CopySpace(d, n + 1))]:
         outcome, peak = _traced(trial(size, refused_space))
         assert isinstance(outcome, DimensionCapError)
         assert peak < 2**20
 
 
-def test_product_basis_memory_guard_matches_its_peak(monkeypatch):
-    # the search beyond qubits may hold one cap-sized complex matrix
-    cap = 1024
-    bound = 16 * cap * cap
-    monkeypatch.setenv("OBSAVG_DIM_CAP", str(cap))
-    project_unbiased_povm(SPIN1_Z, CopySpace(3, 2), (-1.0, 1.0))  # numpy's lazy imports
-    space = CopySpace(3, 4)
-    dim = space.total_dim  # 81
+def test_project_memory_guard_matches_its_peak(monkeypatch):
+    _check_trial_memory_guard(monkeypatch, X, 8, 1e-8)  # D = 256, M = 10
 
-    def accepted(m: int, d: int) -> bool:
-        return d * d * (STACK_BYTES * m + TABLE_BYTES) <= bound
 
-    def search(grid, search_space, **kwargs):
-        return lambda: project_unbiased_povm(SPIN1_Z, search_space, grid,
-                                             rng=np.random.default_rng(5), **kwargs)
-
-    m = 2  # the largest grid accepted at this D: its peak is inside the iteration
-    while accepted(m + 1, dim):
-        m += 1
-    outcome, peak = _traced(search(np.linspace(-1.0, 1.0, m), space,
-                                   max_iterations=2, convergence_tol=1e-300))
-    assert isinstance(outcome, InfeasibleError)
-    assert peak <= bound
-    # two values converge after one step: the peak is at the rotation back
-    assert accepted(2, dim) and not accepted(2, 3 * dim)
-    outcome, peak = _traced(search((-1.0, 1.0), space, convergence_tol=1e-10))
-    assert outcome.iterations == 1
-    assert peak <= bound
-    for grid, refused_space in [(np.linspace(-1.0, 1.0, m + 1), space),
-                                ((-1.0, 1.0), CopySpace(3, 5))]:
-        outcome, peak = _traced(search(grid, refused_space))
-        assert isinstance(outcome, DimensionCapError)
-        assert peak < 2**20
+def test_qutrit_memory_guard_matches_its_peak(monkeypatch):
+    # the same rule at d = 3; 1e-8 would leave completeness short of validation
+    _check_trial_memory_guard(monkeypatch, SPIN1_Z, 5, 1e-10)  # D = 243, M = 11
 
 
 def _spin_operators(n: int) -> list[np.ndarray]:
@@ -183,15 +176,19 @@ def _spin_operators(n: int) -> list[np.ndarray]:
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_spin_basis_is_unitary_and_diagonalises_jz_and_j2(n):
-    basis = adversary._spin_basis(n)
+    schur = _schur_basis(2, n)
+    basis = schur.vectors
     assert np.abs(basis.conj().T @ basis - np.eye(2**n)).max() < 1e-13
     jx, jy, jz = _spin_operators(n)
     j2 = jx @ jx + jy @ jy + jz @ jz
     m_z, j_j1 = [], []
-    for b, (rows, mult, cols) in enumerate(adversary._spin_blocks(n)):
+    for b, (size, mult, cols) in enumerate(schur.blocks):
+        # block b has spin n/2 - b; row w has w + b digits 1
         j = n / 2 - b
-        for w in range(rows.start, rows.stop):
-            m_z += [w - n / 2] * mult
+        assert size == 2 * j + 1
+        for w in range(size):
+            assert list(schur.counts[b, w]) == [n - b - w, b + w]
+            m_z += [b + w - n / 2] * mult
             j_j1 += [j * (j + 1)] * mult
     assert np.abs(basis.conj().T @ jz @ basis - np.diag(m_z)).max() < 1e-12
     assert np.abs(basis.conj().T @ j2 @ basis - np.diag(j_j1)).max() < 1e-12
@@ -199,19 +196,20 @@ def test_spin_basis_is_unitary_and_diagonalises_jz_and_j2(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_twirl_is_block_times_identity_in_spin_basis(n):
-    rng = np.random.default_rng(40 + n)
-    space = CopySpace(2, n)
-    dim = space.total_dim
-    basis = adversary._spin_basis(n)
-    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    y = basis.conj().T @ twirl(x, space) @ basis
-    for rows, mult, cols in adversary._spin_blocks(n):
-        block = y[cols, cols]
-        x_b = block[::mult, ::mult]
-        assert np.abs(block - np.kron(x_b, np.eye(mult))).max() < 1e-12
-        assert np.abs(x_b).min() > 1e-3
-        y[cols, cols] = 0.0
-    assert np.abs(y).max() < 1e-12
+    for d in (2, 3):
+        rng = np.random.default_rng(40 + n)
+        space = CopySpace(d, n)
+        dim = space.total_dim
+        schur = _schur_basis(d, n)
+        x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        y = schur.vectors.conj().T @ twirl(x, space) @ schur.vectors
+        for size, mult, cols in schur.blocks:
+            block = y[cols, cols]
+            x_b = block[::mult, ::mult]
+            assert np.abs(block - np.kron(x_b, np.eye(mult))).max() < 1e-12
+            assert np.abs(x_b).min() > 1e-3
+            y[cols, cols] = 0.0
+        assert np.abs(y).max() < 1e-12
 
 
 def _invariant_start(space: CopySpace, n_out: int, rng) -> np.ndarray:
@@ -224,31 +222,40 @@ def _invariant_start(space: CopySpace, n_out: int, rng) -> np.ndarray:
 def _check_block_route_against_dense(a, n: int, grid, seed: int) -> None:
     """The block route and the dense solver from the same invariant start agree."""
     obs = Observable(a)
-    space = CopySpace(2, n)
+    space = CopySpace(obs.dim, n)
     start = _invariant_start(space, len(grid), np.random.default_rng(seed))
     block = project_unbiased_povm(obs, space, grid, start=start, convergence_tol=1e-12)
-    dense = adversary._search_product_basis(obs, space, np.asarray(grid, dtype=float), start,
-                                            None, 5000, 1e-12)
+    dense = search_product_basis(obs, space, np.asarray(grid, dtype=float), start,
+                                 None, 5000, 1e-12)
     for result in (block, dense):
         povm = result.povm
         assert povm.validate(psd_tol=1e-9, completeness_tol=1e-12).ok
         assert all(is_perm_invariant(e, space, tol=1e-9) for e in povm.elements)
         assert povm.unbiasedness_residual(obs) <= 1e-9
     assert np.abs(block.povm.elements - dense.povm.elements).max() <= 1e-8
-    report = compare(block.povm, obs, random_density(2, np.random.default_rng(seed)))
+    report = compare(block.povm, obs, random_density(obs.dim, np.random.default_rng(seed)))
     assert report.gap >= -1e-8
 
 
-@settings(max_examples=15, deadline=None, derandomize=True, database=None)
-@given(coefficients=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
-       n=st.integers(1, 5), size=st.integers(3, 6), seed=st.integers(0, 2**16))
-def test_block_route_matches_the_dense_solver(coefficients, n, size, seed):
-    a0, ax, ay, az = coefficients
-    # a near-degenerate spectrum leaves the grid values nearly equal, which
-    # makes the least-norm tables singular for both solvers; the exactly
-    # degenerate case is checked on its own below
-    assume(np.hypot(np.hypot(ax, ay), az) >= 0.1)
-    a = np.array([[a0 + az, ax - 1j * ay], [ax + 1j * ay, a0 - az]])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(sizes=st.sampled_from([(d, n) for d, top in ((3, 3), (2, 5)) for n in range(top, 0, -1)]),
+       coefficients=st.lists(st.floats(-2.0, 2.0), min_size=9, max_size=9),
+       size=st.integers(3, 6), seed=st.integers(0, 2**16))
+def test_block_route_matches_the_dense_solver(sizes, coefficients, size, seed):
+    d, n = sizes
+    # a Hermitian d x d matrix: the diagonal, then real and imaginary parts
+    # of the upper triangle
+    a = np.diag(np.asarray(coefficients[:d], dtype=complex))
+    upper = np.triu_indices(d, 1)
+    pairs = len(upper[0])
+    a[upper] = np.asarray(coefficients[d:d + pairs]) + 1j * np.asarray(
+        coefficients[d + pairs:d + 2 * pairs])
+    a = a + np.triu(a, 1).conj().T
+    # a near-degenerate spectrum leaves a row of the copy average just short
+    # of an extreme or the grid values nearly equal, which slows or stalls
+    # both solvers alike; exactly degenerate spectra are checked on their own
+    # below
+    assume(np.diff(np.linalg.eigvalsh(a)).min() >= 0.2)
     grid = AdversaryConfig.spanning_grid(a, size=size).value_grid
     _check_block_route_against_dense(a, n, grid, seed)
 
@@ -257,7 +264,9 @@ def test_block_route_matches_the_dense_solver(coefficients, n, size, seed):
     (X, 1, (-1.0, 0.0, 1.0)),
     (Z + 0.5 * X, 2, (-1.118033988749895, -0.3, 0.2, 1.118033988749895)),
     (2.0 * np.eye(2), 3, (2.0, 2.0, 2.0)),  # degenerate: one eigenvalue
-], ids=["one-copy", "two-copies", "degenerate"])
+    (np.diag([1.0, 1.0, 0.0]), 3, (0.0, 0.25, 0.5, 1.0)),  # a twice degenerate top
+    (2.0 * np.eye(3), 2, (2.0, 2.0, 2.0)),
+], ids=["one-copy", "two-copies", "degenerate", "qutrit-degenerate-top", "qutrit-identity"])
 def test_block_route_matches_the_dense_solver_at_the_edges(a, n, grid):
     _check_block_route_against_dense(a, n, grid, seed=9)
 

@@ -287,6 +287,21 @@ def test_adversary_runs_qubit_trials_in_spin_blocks(tmp_path, capsys):
     assert len(csv_path.read_text().strip().split("\n")) == 3
 
 
+def test_adversary_runs_qutrit_trials_in_schur_blocks(capsys):
+    # D = 81: the search runs on four Schur-Weyl blocks of 15, 15, 6 and 3
+    # rows, then the lifted POVM passes the dense checks of compare
+    code = main(["adversary", "--observable", "spin1-z", "--copies", "4", "--trials", "2",
+                 "--grid", "5", "--seed", "3", "--tol", "1e-10"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    summary = json.loads(captured.out)
+    assert summary["converged"] == 2
+    assert summary["min_gap"] >= -1e-8
+    assert summary["max_unbiasedness_residual"] <= 1e-8
+    assert summary["max_completeness_residual"] <= 1e-10
+    assert summary["min_moment_floor"] >= -1e-9
+
+
 def test_adversary_refuses_a_search_beyond_the_memory_cap(capsys, monkeypatch):
     # D = 4096 passes the dimension cap; eight 4096^2 stacks do not fit
     monkeypatch.delenv("OBSAVG_DIM_CAP", raising=False)

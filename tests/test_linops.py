@@ -112,6 +112,16 @@ def test_observable_variance_oracle():
     assert a.variance(rho) == pytest.approx(second - mean**2, abs=1e-12)
 
 
+def test_variance_of_a_multiple_of_the_identity_is_rounding_small():
+    # <A^2> - <A>^2 left about 4e-16 here, which canonical_error's square
+    # root turned into 2e-8: a spurious adversary gap of -2e-8
+    rng = np.random.default_rng(9)
+    for d in (2, 3, 4):
+        a = Observable(2.0 * np.eye(d))
+        for _ in range(20):
+            assert a.variance(random_density(d, rng)) <= 1e-28
+
+
 def test_density_matrix_validation():
     rng = np.random.default_rng(16)
     rho = random_density(3, rng)

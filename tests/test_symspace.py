@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from obsavg.errors import DimensionCapError, DimensionMismatchError, OperatorVal
 from obsavg.linops import expect, random_density, random_hermitian
 from obsavg.symspace import (
     CopySpace,
+    _schur_basis,
     copy_average,
     invariant_basis,
     lift,
@@ -233,3 +235,70 @@ def test_invariant_basis_partitions_and_spans():
     for b in basis:
         vals = x[b.real == 1.0]
         assert np.abs(vals - vals[0]).max() < 1e-12
+
+
+SCHUR_SIZES = [(d, n) for d, top in ((2, 6), (3, 4), (4, 3)) for n in range(1, top + 1)]
+
+
+def _young_shapes(n: int, rows: int) -> list[tuple[int, ...]]:
+    """Partitions of n with at most rows parts, lexicographically descending."""
+    shapes = {tuple(sorted(c, reverse=True)) for c in itertools.product(range(n + 1), repeat=rows)
+              if sum(c) == n}
+    return sorted((tuple(r for r in shape if r) for shape in shapes), reverse=True)
+
+
+def _semistandard_count(shape: tuple[int, ...], d: int) -> int:
+    """Fillings of shape from 1..d, rows weakly and columns strictly increasing."""
+    cells = [(i, j) for i, row in enumerate(shape) for j in range(row)]
+    count = 0
+    for filling in itertools.product(range(d), repeat=len(cells)):
+        t = dict(zip(cells, filling))
+        count += all((j == 0 or t[i, j - 1] <= t[i, j]) and (i == 0 or t[i - 1, j] < t[i, j])
+                     for i, j in cells)
+    return count
+
+
+def _standard_count(shape: tuple[int, ...]) -> int:
+    """Standard Young tableaux of shape, by the hook-length formula."""
+    hooks = 1
+    for i, row in enumerate(shape):
+        for j in range(row):
+            below = sum(1 for r in shape[i + 1:] if r > j)
+            hooks *= row - j + below
+    return math.factorial(sum(shape)) // hooks
+
+
+@pytest.mark.parametrize("d,n", SCHUR_SIZES)
+def test_schur_basis_is_unitary_and_made_of_weight_vectors(d, n):
+    schur = _schur_basis(d, n)
+    space = CopySpace(d, n)
+    v = schur.vectors
+    assert not v.flags.writeable
+    assert np.abs(v.conj().T @ v - np.eye(d**n)).max() < 1e-13
+    # sum_k lift(|a><a|, k) counts the digits a: diagonal, with the row's weight
+    weights = np.concatenate([np.repeat(schur.counts[b, :size], mult, axis=0)
+                              for b, (size, mult, _) in enumerate(schur.blocks)])
+    for a in range(d):
+        digit = np.zeros((d, d))
+        digit[a, a] = 1.0
+        number = sum(lift(digit, k, space) for k in range(n))
+        assert np.abs(v.conj().T @ number @ v - np.diag(weights[:, a])).max() < 1e-12
+
+
+@pytest.mark.parametrize("d,n", SCHUR_SIZES)
+def test_schur_blocks_count_tableaux(d, n):
+    schur = _schur_basis(d, n)
+    shapes = _young_shapes(n, d)
+    assert len(schur.blocks) == len(shapes)
+    col = 0
+    for b, (shape, (size, mult, cols)) in enumerate(zip(shapes, schur.blocks)):
+        # the first row of a block is its highest weight, lambda itself
+        assert tuple(schur.counts[b, 0]) == shape + (0,) * (d - len(shape))
+        assert size == _semistandard_count(shape, d)
+        assert mult == _standard_count(shape)
+        assert (cols.start, cols.stop) == (col, col + size * mult)
+        col = cols.stop
+        assert (schur.counts[b, :size].sum(axis=1) == n).all()
+        assert not schur.counts[b, size:].any()
+    assert col == d**n
+    assert sum(size**2 for size, _, _ in schur.blocks) == len(invariant_basis(CopySpace(d, n)))
