@@ -18,13 +18,17 @@ from .errors import DimensionMismatchError, InfeasibleError, ObsavgError, PovmVa
 from .estimators import canonical_error
 from .linops import as_observable, as_state, check_memory_cap, random_density, tensor_power
 from .povm import UNBIASED_TOL, Povm, moment_inequality_floor
-from .symspace import CopySpace, SchurBasis, _schur_basis
+from .symspace import CopySpace, SchurBasis, _irrep_dims, _schur_basis
 
-# complex (D, D) matrices beside the lifted (M, D, D) stack at the peak of a
-# trial, which comes in compare's dense checks of the lifted POVM: measured
-# 5.0 to 5.6 (tracemalloc, run_trials, d = 2 at D = 128 to 512 and d = 3 at
-# D = 243 and 729, M = 2 to 11)
+# A trial's peak counts the lifted (M, D, D) stack, LIFT_MATRICES complex
+# (D, D) matrices beside it (the lift, then compare's dense checks) and
+# BLOCK_STACKS complex (blocks, M, R, R) stacks (the search's iterate, step
+# and eigh output; the random start holds three too). run_trials peaks at
+# 0.84 to 0.97 of that count at d = 2 to 4 (tracemalloc; D = 27 to 729 with
+# M = 3 to 16, D <= 16 with M up to 20000), beside some 10 kB of numpy's
+# fixed temporaries
 LIFT_MATRICES = 6
+BLOCK_STACKS = 3
 
 
 @dataclass(frozen=True)
@@ -210,7 +214,9 @@ def _search_schur_blocks(obs, space: CopySpace, values: np.ndarray, start, rng,
     d, n, dim, n_out = space.local_dim, space.n_copies, space.total_dim, values.size
     if obs.dim != d:
         raise DimensionMismatchError(f"observable dim {obs.dim} does not match local_dim {d}")
-    check_memory_cap(16 * dim * dim * (n_out + LIFT_MATRICES),
+    sizes = _irrep_dims(d, n)
+    stack = n_out * len(sizes) * max(sizes) ** 2
+    check_memory_cap(16 * (dim * dim * (n_out + LIFT_MATRICES) + BLOCK_STACKS * stack),
                      f"adversary search over {n_out} elements of dim {dim}",
                      outcomes=n_out, dim=dim)
     schur = _schur_basis(d, n)
@@ -305,9 +311,9 @@ def project_unbiased_povm(a, space: CopySpace, value_grid,
     DimensionMismatchError
         If the observable's dimension is not space.local_dim.
     DimensionCapError
-        Before any (M, D, D) allocation, if the lifted stack plus
-        LIFT_MATRICES complex (D, D) matrices exceed check_memory_cap's
-        bound.
+        Before anything of size D is allocated, if the lifted stack,
+        LIFT_MATRICES complex (D, D) matrices and BLOCK_STACKS block stacks
+        exceed check_memory_cap's bound.
     """
     obs = as_observable(a)
     values = np.asarray(value_grid, dtype=np.float64).reshape(-1)

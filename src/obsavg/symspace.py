@@ -178,6 +178,23 @@ def _partitions(n: int, rows: int, largest: int) -> list[tuple[int, ...]]:
             for rest in _partitions(n - first, rows - 1, first)]
 
 
+def _irrep_dims(local_dim: int, n_copies: int) -> list[int]:
+    """dim V_lambda of each block of _schur_basis, in its order, without building it.
+
+    The hook-content formula: the product over the cells (i, j) of lambda
+    of (local_dim + j - i) / hook(i, j).
+    """
+    dims = []
+    for shape in _partitions(n_copies, local_dim, n_copies):
+        contents = hooks = 1
+        for i, row in enumerate(shape):
+            for j in range(row):
+                contents *= local_dim + j - i
+                hooks *= row - j + sum(1 for below in shape[i + 1:] if below > j)
+        dims.append(contents // hooks)
+    return dims
+
+
 @lru_cache(maxsize=4)
 def _schur_basis(local_dim: int, n_copies: int) -> SchurBasis:
     """The Schur-Weyl basis of n_copies sites of dimension local_dim.

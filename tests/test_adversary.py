@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from obsavg import adversary
 from obsavg.adversary import (
+    BLOCK_STACKS,
     LIFT_MATRICES,
     AdversaryConfig,
     compare,
@@ -25,7 +26,7 @@ from obsavg.errors import (
 from obsavg.estimators import canonical_error, canonical_povm, total_variation
 from obsavg.linops import DensityMatrix, Observable, pure_state, random_density, random_hermitian
 from obsavg.povm import Povm
-from obsavg.symspace import CopySpace, _schur_basis, lift, twirl
+from obsavg.symspace import CopySpace, _irrep_dims, _schur_basis, lift, twirl
 from dense_oracle import search_product_basis
 from perm_oracle import is_perm_invariant
 
@@ -122,36 +123,36 @@ def _traced(call):
         tracemalloc.stop()
 
 
-def _check_trial_memory_guard(monkeypatch, a, n: int, tol: float) -> None:
+def _check_trial_memory_guard(monkeypatch, a, n: int, tol: float, cap: int = 1024) -> None:
     """A trial at n copies, search and compare, may hold one cap-sized complex matrix.
 
     The largest grid the rule accepts at n copies peaks within 80-100% of
     the bound; one more grid point, or one more copy, is refused before
     anything of size D is allocated.
     """
-    cap = 1024
     bound = 16 * cap * cap
     monkeypatch.setenv("OBSAVG_DIM_CAP", str(cap))
     d = len(a)
     run_trials(a, CopySpace(d, 2), AdversaryConfig((-1.0, 1.0)), 1)  # numpy's lazy imports
     space = CopySpace(d, n)
-    dim = space.total_dim
 
-    def accepted(m: int, dim: int) -> bool:
-        return 16 * dim * dim * (m + LIFT_MATRICES) <= bound
+    def accepted(m: int, n: int) -> bool:
+        sizes = _irrep_dims(d, n)
+        stack = m * len(sizes) * max(sizes) ** 2
+        return 16 * (d ** (2 * n) * (m + LIFT_MATRICES) + BLOCK_STACKS * stack) <= bound
 
     def trial(size, trial_space):
         config = AdversaryConfig.spanning_grid(a, size=size, seed=5, convergence_tol=tol)
         return lambda: run_trials(a, trial_space, config, 1)
 
-    m = 2  # the largest grid accepted at this D
-    while accepted(m + 1, dim):
+    m = 2  # the largest grid accepted at n copies
+    while accepted(m + 1, n):
         m += 1
     _schur_basis.cache_clear()  # the basis is built inside the trace
     (_, summary), peak = _traced(trial(m, space))
     assert summary["converged"] == 1
     assert 0.8 * bound < peak <= bound
-    assert accepted(2, dim) and not accepted(2, d * dim)
+    assert accepted(2, n) and not accepted(2, n + 1)
     for size, refused_space in [(m + 1, space), (2, CopySpace(d, n + 1))]:
         outcome, peak = _traced(trial(size, refused_space))
         assert isinstance(outcome, DimensionCapError)
@@ -159,12 +160,18 @@ def _check_trial_memory_guard(monkeypatch, a, n: int, tol: float) -> None:
 
 
 def test_project_memory_guard_matches_its_peak(monkeypatch):
-    _check_trial_memory_guard(monkeypatch, X, 8, 1e-8)  # D = 256, M = 10
+    _check_trial_memory_guard(monkeypatch, X, 8, 1e-8)  # D = 256, M = 9
 
 
 def test_qutrit_memory_guard_matches_its_peak(monkeypatch):
     # the same rule at d = 3; 1e-8 would leave completeness short of validation
-    _check_trial_memory_guard(monkeypatch, SPIN1_Z, 5, 1e-10)  # D = 243, M = 11
+    _check_trial_memory_guard(monkeypatch, SPIN1_Z, 5, 1e-10)  # D = 243, M = 10
+
+
+def test_qutrit_memory_guard_counts_the_block_stacks(monkeypatch):
+    # D = 81, blocks of 15, 15, 6 and 3 rows: the three block stacks come to
+    # 0.4 of the lifted stack, M = 13
+    _check_trial_memory_guard(monkeypatch, SPIN1_Z, 4, 1e-10, cap=400)
 
 
 def _spin_operators(n: int) -> list[np.ndarray]:

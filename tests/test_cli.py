@@ -312,6 +312,17 @@ def test_adversary_refuses_a_search_beyond_the_memory_cap(capsys, monkeypatch):
     assert err["error"] == "DIM_CAP"
 
 
+def test_adversary_counts_the_block_stacks_against_the_memory_cap(capsys, monkeypatch):
+    # D = 3: the lifted stack of 4000 outcomes is half of one 256^2 matrix;
+    # the search's three block stacks, each as large, do not fit beside it
+    monkeypatch.setenv("OBSAVG_DIM_CAP", "256")
+    code = main(["adversary", "--observable", "spin1-z", "--copies", "1",
+                 "--trials", "1", "--grid", "4000", "--max-iterations", "1"])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DIM_CAP"
+
+
 def test_parser_is_reused_across_calls(plus_state_file, capsys):
     calls = [
         ["theta", "--observable", "pauli-z", "--copies", "0"],

@@ -8,6 +8,7 @@ from obsavg.errors import DimensionCapError, DimensionMismatchError, OperatorVal
 from obsavg.linops import expect, random_density, random_hermitian
 from obsavg.symspace import (
     CopySpace,
+    _irrep_dims,
     _schur_basis,
     copy_average,
     invariant_basis,
@@ -302,3 +303,5 @@ def test_schur_blocks_count_tableaux(d, n):
         assert not schur.counts[b, size:].any()
     assert col == d**n
     assert sum(size**2 for size, _, _ in schur.blocks) == len(invariant_basis(CopySpace(d, n)))
+    # the hook-content sizes the adversary's memory rule reads before building it
+    assert _irrep_dims(d, n) == [size for size, _, _ in schur.blocks]
