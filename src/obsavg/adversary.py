@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InfeasibleError, ObsavgError, PovmValidationError
 from .estimators import canonical_error
-from .linops import as_observable, as_state, check_memory_cap, random_density, tensor_power
+from .linops import (DEFAULT_TOL, as_observable, as_state, check_memory_cap, random_density,
+                     tensor_power)
 from .povm import UNBIASED_TOL, Povm, moment_inequality_floor
 from .symspace import CopySpace, SchurBasis, _irrep_dims, _schur_basis
 
@@ -209,7 +210,9 @@ def _search_schur_blocks(obs, space: CopySpace, values: np.ndarray, start, rng,
     masked to zero outside each block. A block gap bounds every entry of the
     lifted gap by its spectral norm, so convergence is judged on the
     Frobenius norm of the block gaps; completeness is judged again after
-    the one lift.
+    the one lift, within convergence_tol and within Povm.validate's
+    tolerance, so a looser convergence_tol never returns a POVM that
+    compare refuses.
     """
     d, n, dim, n_out = space.local_dim, space.n_copies, space.total_dim, values.size
     if obs.dim != d:
@@ -240,6 +243,7 @@ def _search_schur_blocks(obs, space: CopySpace, values: np.ndarray, start, rng,
         f /= shape[-1]
     f *= masks
 
+    lift_tol = min(convergence_tol, DEFAULT_TOL)
     threshold = convergence_tol
     steps = _alternate(f, values, masks, target_eye, target_eye * theta[:, None, :], p, q, s)
     for iteration, (gap_eye, gap_avg, _) in enumerate(steps):
@@ -250,7 +254,7 @@ def _search_schur_blocks(obs, space: CopySpace, values: np.ndarray, start, rng,
                 coupled = _coupled_basis(obs, n)
             elements = _lift_blocks(f, coupled, schur)
             res_eye = float(np.abs(elements.sum(axis=0) - np.eye(dim)).max())
-            if res_eye <= convergence_tol:
+            if res_eye <= lift_tol:
                 elements.setflags(write=False)
                 return FeasibilityResult(Povm(values, elements, space), iteration, res_eye)
             # rounding in the lift: lift again once the blocks are twice as close

@@ -147,9 +147,7 @@ def _grid_spec(text: str):
 
 
 def _emit(report: dict, out: str | None) -> None:
-    text = jsonio.write_text(jsonio.dumps(report), out)
-    if out is None:
-        sys.stdout.write(text)
+    jsonio.write_text(jsonio.dumps(report), out)
 
 
 def _cmd_theta(opt: dict) -> int:

@@ -7,7 +7,9 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -17,77 +19,130 @@ from .symspace import CopySpace
 
 
 def format_float(x: float) -> str:
-    """Shortest lossless decimal form of a finite float."""
+    """Lossless decimal form of a finite float: 17 significant digits, so
+    0.1 prints as 0.10000000000000001 and 3.0 as 3."""
     x = float(x)
     if not math.isfinite(x):
         raise FormatError(f"cannot serialize non-finite float {x!r}")
     return "%.17g" % x
 
 
-def _serialize(obj) -> str:
+def _format_grid(a: np.ndarray) -> str:
+    """A 2-D float64 array as JSON rows, one '%' format per row.
+
+    Byte-identical to format_float on every entry of a.tolist()."""
+    finite = np.isfinite(a)
+    if not finite.all():
+        format_float(a[~finite][0])  # raises, naming the first non-finite entry
+    row = "[" + ", ".join(["%.17g"] * a.shape[1]) + "]"
+    return "[" + ", ".join([row % tuple(r) for r in a]) + "]"
+
+
+def _serialize(obj, out: list[str]) -> None:
+    """Append the JSON text of obj to out, piece by piece, so that dumps
+    copies the text once, in its one join."""
     if isinstance(obj, dict):
-        items = ", ".join(
-            f"{json.dumps(str(k))}: {_serialize(v)}" for k, v in obj.items()
-        )
-        return "{" + items + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_serialize(v) for v in obj) + "]"
-    if isinstance(obj, np.ndarray):
-        return _serialize(obj.tolist())
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    raise FormatError(f"cannot serialize object of type {type(obj).__name__}")
+        out.append("{")
+        sep = ""
+        for k, v in obj.items():
+            out.append(f"{sep}{json.dumps(str(k))}: ")
+            _serialize(v, out)
+            sep = ", "
+        out.append("}")
+    elif isinstance(obj, (list, tuple)):
+        out.append("[")
+        sep = ""
+        for v in obj:
+            out.append(sep)
+            _serialize(v, out)
+            sep = ", "
+        out.append("]")
+    elif isinstance(obj, np.ndarray):
+        if obj.ndim == 2 and obj.dtype == np.float64:
+            out.append(_format_grid(obj))
+        else:
+            _serialize(obj.tolist(), out)
+    elif isinstance(obj, (bool, np.bool_)):
+        out.append("true" if obj else "false")
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(format_float(float(obj)))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    else:
+        raise FormatError(f"cannot serialize object of type {type(obj).__name__}")
 
 
 def dumps(obj) -> str:
     """Deterministic JSON text (no trailing newline)."""
-    return _serialize(obj)
+    out: list[str] = []
+    _serialize(obj, out)
+    return "".join(out)
 
 
-def write_text(text: str, path: str | Path | None = None) -> str:
-    """Write text plus trailing newline to path, or return it for stdout."""
-    payload = text + "\n"
-    if path is not None:
-        Path(path).write_text(payload, encoding="utf-8")
-    return payload
+def write_text(text: str, path: str | Path | None = None) -> None:
+    """Write text plus trailing newline to path, or to stdout when path is None.
+
+    The newline is a second write, so the text is never copied."""
+    if path is None:
+        sys.stdout.write(text)
+        sys.stdout.write("\n")
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+        fh.write("\n")
+
+
+_NUMBER_TYPES = {int, float}
 
 
 def _real_grid(data, dim: int, key: str, where: str) -> np.ndarray:
+    """A dim x dim grid of JSON numbers as float64, converted in one call."""
     rows = data
     if not isinstance(rows, list) or len(rows) != dim:
         raise FormatError(f"{where}: '{key}' must be a {dim}x{dim} number grid")
-    out = np.empty((dim, dim), dtype=np.float64)
+    if all(type(row) is list and len(row) == dim and set(map(type, row)) <= _NUMBER_TYPES
+           for row in rows):
+        try:
+            out = np.array(rows, dtype=np.float64)
+        except OverflowError:  # an integer beyond float range
+            pass
+        else:
+            if np.isfinite(out).all():  # refuses 1e400 and the NaN and Infinity tokens
+                return out
+    _reject_grid(rows, dim, key, where)
+
+
+def _reject_grid(rows: list, dim: int, key: str, where: str) -> NoReturn:
+    """Raise naming the first entry of rows that _real_grid refused."""
     for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != dim:
+        if type(row) is not list or len(row) != dim:
             raise FormatError(f"{where}: '{key}' row {i} must have {dim} entries")
         for j, v in enumerate(row):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
+            if type(v) not in _NUMBER_TYPES:
                 raise FormatError(f"{where}: '{key}'[{i}][{j}] is not a number")
             try:
-                out[i, j] = float(v)
-            except OverflowError:  # an integer beyond float range
+                float(v)
+            except OverflowError:
                 raise FormatError(f"{where}: '{key}'[{i}][{j}] is too large for a float") from None
-    if not np.isfinite(out).all():  # 1e400 and the NaN and Infinity tokens
-        i, j = np.argwhere(~np.isfinite(out))[0]
-        raise FormatError(f"{where}: '{key}'[{i}][{j}] is not a finite number")
-    return out
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            if not math.isfinite(v):
+                raise FormatError(f"{where}: '{key}'[{i}][{j}] is not a finite number")
+    raise AssertionError("unreachable")
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
-    """{"dim", "re", "im"} representation of a square complex matrix."""
+    """{"dim", "re", "im"} representation of a square complex matrix; "re" and
+    "im" are float64 views of m, which dumps formats a row at a time."""
     m = np.asarray(m, dtype=np.complex128)
     return {
         "dim": int(m.shape[0]),
-        "re": m.real.tolist(),
-        "im": m.imag.tolist(),
+        "re": m.real,
+        "im": m.imag,
     }
 
 
@@ -187,7 +242,7 @@ def distribution_csv(dist: OutcomeDistribution) -> str:
 def _csv_cell(v) -> str:
     if v is None:
         return ""
-    return v if isinstance(v, str) else _serialize(v)
+    return v if isinstance(v, str) else dumps(v)
 
 
 def rows_csv(rows: list[dict]) -> str:

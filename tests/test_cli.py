@@ -270,6 +270,18 @@ def test_adversary_default_tol_passes_validation(capsys):
     assert summary["max_completeness_residual"] <= 1e-9
 
 
+def test_adversary_loose_tol_still_passes_validation(capsys):
+    # a tol looser than Povm.validate's 1e-9 once returned the first lift
+    # within 1e-8 (residual 9.9e-9 here), and compare aborted the batch
+    code = main(["adversary", "--observable", "spin1-z", "--copies", "1",
+                 "--trials", "1", "--grid", "3", "--seed", "0", "--tol", "1e-8"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    summary = json.loads(captured.out)
+    assert summary["converged"] == 1
+    assert summary["max_completeness_residual"] <= 1e-9
+
+
 def test_adversary_runs_qubit_trials_in_spin_blocks(tmp_path, capsys):
     # D = 128: the search runs on four spin blocks of at most 8 rows, then
     # the lifted POVM passes the dense checks of compare

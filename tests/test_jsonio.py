@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from json_oracle import reference_dump_operator, reference_dump_povm
 
 from obsavg import jsonio
 from obsavg.errors import FormatError
@@ -126,3 +129,173 @@ def test_rows_csv_layout():
     assert lines[2] == "1,false,,"
     with pytest.raises(FormatError):
         jsonio.rows_csv([])
+
+
+# signed zeros, the smallest subnormal, the largest magnitudes, and whole
+# numbers, which print without a point ("3")
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 3.0, -7.0, 2.0**53, 0.1]
+LAYOUTS = ["complex", "real", "imaginary", "transposed", "strided"]
+
+
+def _grid_pair(dim, pool, seed):
+    """Two (dim, dim) float grids mixing the pool, the edge floats and wide normals."""
+    rng = np.random.default_rng(seed)
+    choices = np.array(EDGE_FLOATS + pool)
+    def draw():
+        wide = rng.standard_normal((dim, dim)) * 10.0 ** rng.integers(-300, 300, (dim, dim))
+        return np.where(rng.random((dim, dim)) < 0.5, rng.choice(choices, (dim, dim)), wide)
+    return draw(), draw()
+
+
+def _laid_out(re, im, layout):
+    """A complex matrix with exactly these parts, in the given memory layout."""
+    dim = re.shape[0]
+    if layout == "real":
+        return re.copy()
+    if layout == "imaginary":
+        re = np.zeros_like(re)
+    m = np.empty((dim, dim), dtype=np.complex128)
+    m.real, m.imag = re, im  # keeps the signs of zeros, unlike re + 1j * im
+    if layout == "transposed":
+        return np.asfortranarray(m.T).T  # same values, column-major memory
+    if layout == "strided":
+        big = np.zeros((2 * dim, 3 * dim), dtype=np.complex128)
+        big[::2, ::3] = m
+        return big[::2, ::3]
+    return m
+
+
+def _mismatch(text, reference):
+    """None when the texts match, else both texts around their first difference.
+
+    Short, so a failing example does not make pytest diff two long lines."""
+    if text == reference:
+        return None
+    k = next((k for k, (a, b) in enumerate(zip(text, reference)) if a != b),
+             min(len(text), len(reference)))
+    return text[max(k - 30, 0):k + 30], reference[max(k - 30, 0):k + 30]
+
+
+grid_cases = dict(
+    dim=st.integers(1, 40),
+    pool=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+    layout=st.sampled_from(LAYOUTS),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(**grid_cases)
+def test_dump_operator_matches_the_per_element_reference(dim, pool, seed, layout):
+    m = _laid_out(*_grid_pair(dim, pool, seed), layout)
+    text = jsonio.dump_operator(m)
+    assert _mismatch(text, reference_dump_operator(m)) is None
+    assert np.array_equal(jsonio.matrix_from_json(json.loads(text)), m)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(**grid_cases, outcomes=st.integers(1, 3))
+def test_dump_povm_matches_the_per_element_reference(dim, pool, seed, layout, outcomes):
+    elements = [_laid_out(*_grid_pair(dim, pool, seed + k), layout) for k in range(outcomes)]
+    values = [EDGE_FLOATS[k] for k in range(outcomes)]
+    text = jsonio.dump_povm(Povm(values, np.stack(elements)))
+    assert _mismatch(text, reference_dump_povm(values, elements)) is None
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(dim=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+       bad=st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+       part=st.sampled_from(["re", "im"]), layout=st.sampled_from(LAYOUTS[:1] + LAYOUTS[3:]))
+def test_non_finite_entries_still_raise(dim, seed, bad, part, layout):
+    re, im = _grid_pair(dim, [], seed)
+    rng = np.random.default_rng(seed)
+    (re if part == "re" else im)[rng.integers(dim), rng.integers(dim)] = bad
+    m = _laid_out(re, im, layout)
+    with pytest.raises(FormatError) as new:
+        jsonio.dump_operator(m)
+    with pytest.raises(FormatError) as ref:
+        reference_dump_operator(m)
+    assert str(new.value) == str(ref.value) == f"cannot serialize non-finite float {bad!r}"
+
+
+# (JSON text of one entry, the message after the "[i][j]" location)
+BAD_ENTRIES = [
+    ("true", "is not a number"),
+    ("false", "is not a number"),
+    ('"0.5"', "is not a number"),
+    ("null", "is not a number"),
+    ("[0.5]", "is not a number"),
+    ("{}", "is not a number"),
+    ("1" + "0" * 400, "is too large for a float"),
+    ("1e400", "is not a finite number"),
+    ("-1e400", "is not a finite number"),
+    ("NaN", "is not a finite number"),
+    ("Infinity", "is not a finite number"),
+    ("-Infinity", "is not a finite number"),
+]
+
+
+def _grid_text(dim, bad=None, at=(0, 0)):
+    rows = [["%d.5" % (i * dim + j) for j in range(dim)] for i in range(dim)]
+    if bad is not None:
+        rows[at[0]][at[1]] = bad
+    return "[" + ", ".join("[" + ", ".join(r) + "]" for r in rows) + "]"
+
+
+@pytest.mark.parametrize("key", ["re", "im"])
+@pytest.mark.parametrize("entry,message", BAD_ENTRIES, ids=[e for e, _ in BAD_ENTRIES])
+def test_operator_parser_names_the_bad_entry(entry, message, key):
+    grids = {"re": _grid_text(3), "im": _grid_text(3)}
+    grids[key] = _grid_text(3, entry, at=(2, 1))
+    data = json.loads(f'{{"dim": 3, "re": {grids["re"]}, "im": {grids["im"]}}}')
+    with pytest.raises(FormatError) as err:
+        jsonio.matrix_from_json(data)
+    assert str(err.value) == f"operator: '{key}'[2][1] {message}"
+
+
+@pytest.mark.parametrize("entry,message", BAD_ENTRIES, ids=[e for e, _ in BAD_ENTRIES])
+def test_povm_parser_names_the_bad_entry(entry, message):
+    good = f'{{"value": 1, "re": {_grid_text(2)}, "im": null}}'
+    bad = f'{{"value": -1, "re": {_grid_text(2)}, "im": {_grid_text(2, entry, at=(1, 0))}}}'
+    data = json.loads(f'{{"dim": 2, "outcomes": [{good}, {bad}]}}')
+    with pytest.raises(FormatError) as err:
+        jsonio.povm_from_json(data)
+    assert str(err.value) == f"povm: outcome 1: 'im'[1][0] {message}"
+
+
+@pytest.mark.parametrize("grid,message", [
+    ("[[1, 2, 3], [4, 5], [7, 8, 9]]", "'re' row 1 must have 3 entries"),
+    ("[[1, 2, 3], [4, 5, 6, 0], [7, 8, 9]]", "'re' row 1 must have 3 entries"),
+    ("[[1, 2, 3], [4, 5, 6], 7]", "'re' row 2 must have 3 entries"),
+    ("[[1, 2, 3], [4, 5, 6]]", "'re' must be a 3x3 number grid"),
+    ("[[[1, 2, 3], [4, 5, 6], [7, 8, 9]]]", "'re' must be a 3x3 number grid"),
+    ('"[[1]]"', "'re' must be a 3x3 number grid"),
+])
+def test_operator_parser_names_the_bad_row(grid, message):
+    with pytest.raises(FormatError) as err:
+        jsonio.matrix_from_json(json.loads(f'{{"dim": 3, "re": {grid}}}'))
+    assert str(err.value) == f"operator: {message}"
+
+
+def test_parser_names_a_bad_type_before_a_non_finite_number():
+    # the type of every entry is checked before any number's range
+    data = json.loads('{"dim": 2, "re": [[NaN, 1e400], [0, true]]}')
+    with pytest.raises(FormatError) as err:
+        jsonio.matrix_from_json(data)
+    assert str(err.value) == "operator: 're'[1][1] is not a number"
+
+
+def test_parser_reads_whole_numbers_and_big_integers_as_floats():
+    big = 10**300 + 1
+    data = json.loads(f'{{"dim": 2, "re": [[1, -0.0], [{big}, 5e-324]], "im": [[0, 2], [-2, 0]]}}')
+    m = jsonio.matrix_from_json(data)
+    assert m.real.tolist() == [[1.0, 0.0], [float(big), 5e-324]]
+    assert m.imag.tolist() == [[0.0, 2.0], [-2.0, 0.0]]
+
+
+def test_write_text_adds_one_newline(tmp_path, capsys):
+    path = tmp_path / "out.json"
+    jsonio.write_text('{"a": 1}', path)
+    assert path.read_bytes() == b'{"a": 1}\n'
+    jsonio.write_text('{"a": 1}')
+    assert capsys.readouterr().out == '{"a": 1}\n'
