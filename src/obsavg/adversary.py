@@ -23,13 +23,14 @@ from .symspace import CopySpace, SchurBasis, _irrep_dims, _schur_basis
 
 # A trial's peak counts the lifted (M, D, D) stack, LIFT_MATRICES complex
 # (D, D) matrices beside it (the lift, then compare's dense checks) and
-# BLOCK_STACKS complex (blocks, M, R, R) stacks (the search's iterate, step
-# and eigh output; the random start holds three too). run_trials peaks at
-# 0.84 to 0.97 of that count at d = 2 to 4 (tracemalloc; D = 27 to 729 with
-# M = 3 to 16, D <= 16 with M up to 20000), beside some 10 kB of numpy's
-# fixed temporaries
+# BLOCK_STACKS complex (blocks, M, R, R) stacks (the search's governing point,
+# its shadow, a scratch stack and eigh's output; the random start holds three
+# too). run_trials peaks at 0.84 to 0.99 of that count at d = 2 to 4
+# (tracemalloc; D = 27 to 729 with M = 3 to 16, D <= 16 with M = 200 to
+# 20000), beside a fixed 10 to 55 kB of numpy's temporaries that the count
+# leaves out (D = 32 with M = 16 peaks at 1.03 of it)
 LIFT_MATRICES = 6
-BLOCK_STACKS = 3
+BLOCK_STACKS = 4
 
 
 @dataclass(frozen=True)
@@ -103,27 +104,27 @@ def _allowed(obs, values: np.ndarray, theta: np.ndarray) -> np.ndarray:
              | ((values > bottom)[:, None] & (theta <= bottom)))
 
 
-def _alternate(f, values, masks, target_eye, target_avg, p, q, s):
-    """Alternating projections on the element stack f, shape (..., M, R, R), in place.
+def _douglas_rachford(f, values, masks, target_eye, target_avg, p, q, s):
+    """Douglas-Rachford on the element stack f, shape (..., M, R, R), in place.
 
-    Before each step it yields the completeness and first-moment gaps,
-    target - current, and a scratch stack the caller may overwrite.
+    A governing point x starts at f, and f is kept at its shadow P_C(x): the
+    Hermitian part of x with its eigenvalues clipped at zero, forced zeros
+    kept. Each step reflects x through the cone, r = 2f - x, and moves x by
+    P_A(r) - f, which puts it at f plus the least-norm correction that takes
+    r onto the affine set. Before each step it yields the completeness and
+    first-moment gaps of f, target - current, and a scratch stack the
+    caller may overwrite.
     """
+    def gaps(g):
+        moment = values @ g.reshape(g.shape[:-2] + (-1,))
+        return target_eye - g.sum(axis=-3), target_avg - moment.reshape(target_avg.shape)
+
+    x = f.copy()
     step = np.empty_like(f)
     while True:
-        gap_eye = target_eye - f.sum(axis=-3)
-        gap_avg = target_avg - np.tensordot(values, f, axes=([0], [f.ndim - 3]))
-        yield gap_eye, gap_avg, step
-        # affine projection: the least-norm correction l1 + r_m l2
-        np.multiply(values[:, None, None], (q * gap_eye + s * gap_avg)[..., None, :, :],
-                    out=step)
-        step += (p * gap_eye + q * gap_avg)[..., None, :, :]
-        step *= masks
-        f += step
-        # cone projection of the Hermitian part: clip eigenvalues, keep
-        # forced zeros; step's buffer takes the conjugate transposes
-        np.conjugate(f.swapaxes(-1, -2), out=step)
-        f += step
+        # cone projection f = P_C(x); step's buffer takes the conjugate transposes
+        np.conjugate(x.swapaxes(-1, -2), out=f)
+        f += x
         f *= 0.5
         w, v = np.linalg.eigh(f)
         np.conjugate(v.swapaxes(-1, -2), out=step)
@@ -131,6 +132,18 @@ def _alternate(f, values, masks, target_eye, target_avg, p, q, s):
         np.matmul(v, step, out=f)
         f *= masks
         del w, v  # eigh's next output would otherwise meet this one
+        gap_eye, gap_avg = gaps(f)
+        yield gap_eye, gap_avg, step
+        # r = 2f - x has gaps 2 gap(f) - gap(x), as the gaps are affine; x
+        # becomes f plus r's least-norm correction l1 + r_m l2
+        x_eye, x_avg = gaps(x)
+        gap_eye = 2.0 * gap_eye - x_eye
+        gap_avg = 2.0 * gap_avg - x_avg
+        np.multiply(values[:, None, None], (q * gap_eye + s * gap_avg)[..., None, :, :],
+                    out=x)
+        x += (p * gap_eye + q * gap_avg)[..., None, :, :]
+        x *= masks
+        x += f
 
 
 def _no_convergence(tol: float, max_iterations: int, residual: float) -> InfeasibleError:
@@ -245,7 +258,8 @@ def _search_schur_blocks(obs, space: CopySpace, values: np.ndarray, start, rng,
 
     lift_tol = min(convergence_tol, DEFAULT_TOL)
     threshold = convergence_tol
-    steps = _alternate(f, values, masks, target_eye, target_eye * theta[:, None, :], p, q, s)
+    steps = _douglas_rachford(f, values, masks, target_eye, target_eye * theta[:, None, :],
+                              p, q, s)
     for iteration, (gap_eye, gap_avg, _) in enumerate(steps):
         residual = math.sqrt(max(np.vdot(gap_eye, gap_eye).real,
                                  np.vdot(gap_avg, gap_avg).real))
@@ -272,15 +286,19 @@ def project_unbiased_povm(a, space: CopySpace, value_grid,
                           convergence_tol: float = 1e-9) -> FeasibilityResult:
     """Find a valid POVM with the given estimate values that is unbiased for a.
 
-    Alternating projections between the affine set (completeness plus the
-    first-moment constraint) and the PSD cone, in a basis where the
-    copy-averaged observable is diagonal. The affine projection solves a
-    2x2 least-norm system per matrix entry over the outcomes allowed to
-    touch it. Plain alternation stalls when the solution forces
-    PSD-boundary blocks, so the forced supports are eliminated first: an
+    Douglas-Rachford splitting between the affine set (completeness plus
+    the first-moment constraint) and the PSD cone, in a basis where the
+    copy-averaged observable is diagonal; the returned POVM is the shadow,
+    the cone projection of the governing point. The affine projection
+    solves a 2x2 least-norm system per matrix entry over the outcomes
+    allowed to touch it. The forced supports are eliminated first: an
     outcome announcing less than the top grid value must annihilate the top
-    eigenspace of the average (symmetrically at the bottom), which restores
-    a linear convergence rate. Each step acts on the whole stack at once.
+    eigenspace of the average (symmetrically at the bottom), so the reduced
+    affine set meets the interior of the cone. At such a Slater point
+    Douglas-Rachford reaches the intersection in finitely many steps
+    (Bauschke, Dao, Noll & Phan, J. Global Optim. 2016), in tens of
+    iterations on an 8-point grid. Each step acts on the whole stack at
+    once, with one stacked eigh.
 
     The search runs on the permutation-invariant POVMs, which lose
     nothing: rho^(x)n and the copy average commute with every copy

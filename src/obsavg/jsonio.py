@@ -155,13 +155,12 @@ def matrix_from_json(data, where: str = "operator") -> np.ndarray:
         raise FormatError(f"{where}: 'dim' must be a positive integer")
     if "re" not in data:
         raise FormatError(f"{where}: missing 're'")
-    re = _real_grid(data["re"], dim, "re", where)
+    # filled part by part: re + 1j * im would turn a -0.0 in either part into +0.0
+    out = np.empty((dim, dim), dtype=np.complex128)
+    out.real = _real_grid(data["re"], dim, "re", where)
     im_data = data.get("im")
-    if im_data is None:
-        im = np.zeros((dim, dim))
-    else:
-        im = _real_grid(im_data, dim, "im", where)
-    return re + 1j * im
+    out.imag = 0.0 if im_data is None else _real_grid(im_data, dim, "im", where)
+    return out
 
 
 def _load_json(path: str | Path, where: str):

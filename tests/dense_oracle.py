@@ -1,9 +1,9 @@
 """The adversary search on the whole (M, D, D) stack: the dense oracle of the tests.
 
 The library searches the Schur-Weyl blocks of the permutation-invariant
-POVMs. This runs the same alternating projections on every D x D element
-in the product eigenbasis U^(x)n, with no symmetry assumed, so the block
-route is checked against an independent route. Its cost is M D^3 per
+POVMs. This runs the same Douglas-Rachford step on every D x D element in
+the product eigenbasis U^(x)n, with no symmetry assumed, so the block route
+is checked against an independent route. Its cost is M D^3 per
 iteration, and it has no memory guard: keep D small.
 """
 from __future__ import annotations
@@ -13,7 +13,7 @@ import numpy as np
 from obsavg.adversary import (
     FeasibilityResult,
     _allowed,
-    _alternate,
+    _douglas_rachford,
     _least_norm_coefficients,
     _no_convergence,
     _start_stack,
@@ -44,7 +44,7 @@ def search_product_basis(obs, space: CopySpace, values: np.ndarray, start, rng,
         f /= dim
     f *= masks
 
-    steps = _alternate(f, values, masks, target_eye, np.diag(theta), p, q, s)
+    steps = _douglas_rachford(f, values, masks, target_eye, np.diag(theta), p, q, s)
     for iteration, (gap_eye, gap_avg, scratch) in enumerate(steps):
         res_eye = float(np.abs(gap_eye).max())
         res_avg = float(np.abs(gap_avg).max())

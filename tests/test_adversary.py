@@ -64,6 +64,20 @@ def test_canonical_start_converges_immediately():
         assert np.abs(result.povm.elements - p.elements).max() <= 1e-12
 
 
+def test_start_off_the_cone_is_not_returned_as_a_povm():
+    # canonical Z elements at n = 2 with the symmetric weight-1 projector h
+    # moved: +h on the outcomes -1 and +1, -2h on 0. Complete and unbiased,
+    # so the gaps vanish, but the element for 0 has eigenvalue -1
+    space = CopySpace(2, 2)
+    p = canonical_povm(Z, space)
+    v = np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2.0)
+    start = p.elements + np.multiply.outer(p.values**2 * 3 - 2, np.outer(v, v))
+    assert np.linalg.eigvalsh(start).min() < -0.9
+    result = project_unbiased_povm(Z, space, p.values, start=start, max_iterations=50)
+    assert result.povm.validate().ok
+    assert result.povm.unbiasedness_residual(Z) <= 1e-9
+
+
 def test_project_finds_valid_unbiased_povm():
     space = CopySpace(2, 2)
     grid = (-1.0, -0.5, 0.0, 0.5, 1.0)
@@ -93,6 +107,18 @@ def test_project_rejects_out_of_range_grid():
 def test_project_rejects_an_observable_of_another_dimension(a, local_dim):
     with pytest.raises(DimensionMismatchError):
         project_unbiased_povm(a, CopySpace(local_dim, 2), (-1.0, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("a,n", [(Z, 5), (SPIN1_Z, 3)], ids=["pauli-z-5", "spin1-z-3"])
+def test_douglas_rachford_converges_in_tens_of_iterations(a, n):
+    # plain alternating projections took a mean of 472 and 573 iterations here
+    space = CopySpace(len(a), n)
+    grid = AdversaryConfig.spanning_grid(a, size=8).value_grid
+    for seed in range(10):
+        result = project_unbiased_povm(a, space, grid, rng=np.random.default_rng(seed),
+                                       convergence_tol=1e-10)
+        assert 0 < result.iterations <= 60
+        assert result.povm.validate().ok
 
 
 def test_project_reports_non_convergence():

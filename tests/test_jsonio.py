@@ -50,6 +50,18 @@ def test_operator_round_trip(tmp_path):
     assert np.array_equal(loaded, m)
 
 
+@pytest.mark.parametrize("im", [None, [[0.0, -0.0], [-0.0, 0.0]], [[-0.0, 1.5], [-0.0, -0.0]]],
+                         ids=["im-null", "im-signed-zeros", "im-mixed"])
+def test_operator_load_dump_keeps_signed_zeros(tmp_path, im):
+    data = {"dim": 2, "re": [[-0.0, 0.0], [-0.0, -2.5]], "im": im}
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    expected = dict(data, im=im or [[0.0, 0.0], [0.0, 0.0]])
+    text = jsonio.dump_operator(jsonio.load_operator(path))
+    assert text == jsonio.dumps(expected)
+    assert text.startswith('{"dim": 2, "re": [[-0, 0], [-0, -2.5]], "im": ')
+
+
 def test_operator_json_defaults_imaginary_to_zero():
     data = {"dim": 2, "re": [[1.0, 0.0], [0.0, -1.0]], "im": None}
     m = jsonio.matrix_from_json(data)
