@@ -24,17 +24,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import statistics
-import subprocess
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-ROOT = Path(__file__).resolve().parents[1]
+import _pairs
+
 SEEDS = [1, 2, 3, 4, 5]
 WORKLOADS = ["adversary", "collective", "large-n", "symmetry"]
 LADDER = {"pauli-x": ([[0.0, 1.0], [1.0, 0.0]], range(4, 10)),
@@ -52,7 +50,7 @@ def ladder(tree: Path, tol: float = 1e-10) -> list[dict]:
     rows = []
     for name, (matrix, copies) in LADDER.items():
         obs = Observable(np.array(matrix))
-        grid = adversary.AdversaryConfig.spanning_grid(obs, 8).value_grid
+        grid = np.linspace(obs.lambda_min, obs.lambda_max, 8)
         adversary.project_unbiased_povm(obs, CopySpace(obs.dim, 2), obs.eigenvalues)  # warm-up
         for n in copies:
             space = CopySpace(obs.dim, n)
@@ -81,47 +79,26 @@ def ladder(tree: Path, tol: float = 1e-10) -> list[dict]:
     return rows
 
 
-def _run(cmd: list[str], cwd: Path) -> dict:
-    done = subprocess.run(cmd, cwd=cwd, capture_output=True, text=True, check=True)
-    return json.loads(done.stdout.strip().splitlines()[-1])
-
-
 def record(parent: Path, seeds: list[int]) -> dict:
-    sides = {"parent": parent.resolve(), "change": ROOT}
-    bench = [sys.executable, "obsbench/run.py"]
-    out = {
+    trees = _pairs.sides(parent)
+    return {
         "what": "adversary search ladder (scripts/adversary_ladder.py: pauli-x n = 4..9, "
                 "spin1-z n = 2..6, 8-point grid, tol 1e-10, one Schur-block trial per seed), "
                 "obsbench run pairs (--seconds 30 --trace 0, alternating which side runs "
                 "first) and one traced adversary run per side (--seed 1 --seconds 1 "
                 "--trace 1); parent and change each from a fresh copy",
-        "machine": f"{os.cpu_count()} CPUs, Python {platform.python_version()}, "
-                   f"numpy {np.__version__}",
-        "ladder": {side: [json.loads(line) for line in subprocess.run(
-            [sys.executable, __file__, "--tree", str(tree)], capture_output=True, text=True,
-            check=True).stdout.splitlines()] for side, tree in sides.items()},
-        "pairs": [],
+        "machine": _pairs.machine(),
+        "ladder": _pairs.per_tree(__file__, trees),
+        "pairs": _pairs.pairs(trees, [(workload, seed) for workload in WORKLOADS
+                                      for seed in (seeds if workload == "adversary"
+                                                   else seeds[:2])]),
+        "trace": _pairs.traced(trees, "adversary", TRACED),
     }
-    k = 0
-    for workload in WORKLOADS:
-        for seed in seeds if workload == "adversary" else seeds[:2]:
-            order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
-            k += 1
-            for side in order:
-                result = _run(bench + ["--workload", workload, "--seed", str(seed),
-                                       "--seconds", "30", "--trace", "0"], sides[side])
-                out["pairs"].append({"workload": workload, "seed": seed, "side": side,
-                                     "result": result})
-    traced = {side: _run(bench + ["--workload", "adversary", "--seed", "1", "--seconds", "1",
-                                  "--trace", "1"], tree) for side, tree in sides.items()}
-    out["trace"] = {name: {side: traced[side]["metrics"][name]["value"] for side in sides}
-                    | {"unit": traced["change"]["metrics"][name]["unit"]} for name in TRACED}
-    return out
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--tree", type=Path, default=ROOT)
+    parser.add_argument("--tree", type=Path, default=_pairs.ROOT)
     parser.add_argument("--parent", type=Path)
     parser.add_argument("--seeds", type=int, nargs="+", default=list(range(1, 11)))
     args = parser.parse_args()

@@ -20,10 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
@@ -31,7 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-ROOT = Path(__file__).resolve().parents[1]
+import _pairs
+
 SIZES = [(2, n) for n in range(5, 10)] + [(3, n) for n in range(3, 7)]
 REPEATS = 7
 TRACED = ["jsonio.load_s", "jsonio.dump_s", "jsonio.bytes_out", "symspace.twirl_s",
@@ -74,43 +72,23 @@ def split(tree: Path) -> list[dict]:
     return rows
 
 
-def _run(cmd: list[str], cwd: Path) -> dict:
-    done = subprocess.run(cmd, cwd=cwd, capture_output=True, text=True, check=True)
-    return json.loads(done.stdout.strip().splitlines()[-1])
-
-
 def record(parent: Path, seeds: list[int]) -> dict:
-    sides = {"parent": parent.resolve(), "change": ROOT}
-    bench = [sys.executable, "obsbench/run.py", "--workload", "symmetry"]
-    out = {
+    trees = _pairs.sides(parent)
+    return {
         "what": "JSON layer of the symmetry workload: the per-size split of one twirl job "
                 "(scripts/json_split.py), obsbench symmetry run pairs (--seconds 30 --trace 0, "
                 "alternating which side runs first) and one traced run per side "
                 "(--seed 1 --seconds 1 --trace 1); parent and change each from a fresh copy",
-        "machine": f"{os.cpu_count()} CPUs, Python {platform.python_version()}, "
-                   f"numpy {np.__version__}",
-        "split": {side: [json.loads(line) for line in subprocess.run(
-            [sys.executable, __file__, "--tree", str(tree)], capture_output=True,
-            text=True, check=True).stdout.splitlines()] for side, tree in sides.items()},
-        "pairs": [],
+        "machine": _pairs.machine(),
+        "split": _pairs.per_tree(__file__, trees),
+        "pairs": _pairs.pairs(trees, [("symmetry", seed) for seed in seeds]),
+        "trace": _pairs.traced(trees, "symmetry", TRACED),
     }
-    for k, seed in enumerate(seeds):
-        order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
-        for side in order:
-            result = _run(bench + ["--seed", str(seed), "--seconds", "30", "--trace", "0"],
-                          sides[side])
-            out["pairs"].append({"workload": "symmetry", "seed": seed, "side": side,
-                                 "result": result})
-    traced = {side: _run(bench + ["--seed", "1", "--seconds", "1", "--trace", "1"], tree)
-              for side, tree in sides.items()}
-    out["trace"] = {name: {side: traced[side]["metrics"][name]["value"] for side in sides}
-                    | {"unit": traced["change"]["metrics"][name]["unit"]} for name in TRACED}
-    return out
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--tree", type=Path, default=ROOT)
+    parser.add_argument("--tree", type=Path, default=_pairs.ROOT)
     parser.add_argument("--parent", type=Path)
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     args = parser.parse_args()

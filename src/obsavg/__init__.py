@@ -8,12 +8,10 @@ and provides product-state reconstruction identities for cross-checks.
 """
 
 from .adversary import (
-    AdversaryConfig,
     ComparisonReport,
     FeasibilityResult,
     compare,
     project_unbiased_povm,
-    random_unbiased_povm,
     run_trials,
     smear_povm,
 )

@@ -9,8 +9,9 @@ a stress test.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -31,37 +32,7 @@ from .symspace import CopySpace, SchurBasis, _irrep_dims, _schur_basis
 # leaves out (D = 32 with M = 16 peaks at 1.03 of it)
 LIFT_MATRICES = 6
 BLOCK_STACKS = 4
-
-
-@dataclass(frozen=True)
-class AdversaryConfig:
-    """Search settings: the allowed estimate values plus solver knobs."""
-
-    value_grid: tuple[float, ...]
-    max_iterations: int = 5000
-    convergence_tol: float = 1e-9
-    seed: int = 0
-
-    def __post_init__(self):
-        grid = tuple(float(v) for v in self.value_grid)
-        if not grid:
-            raise ObsavgError("value grid must be nonempty", code="BAD_GRID")
-        if not np.isfinite(grid).all():
-            raise ObsavgError("value grid must be finite", code="BAD_GRID")
-        object.__setattr__(self, "value_grid", grid)
-        if self.max_iterations < 1:
-            raise ObsavgError("max_iterations must be >= 1", code="BAD_GRID")
-        if self.convergence_tol <= 0:
-            raise ObsavgError("convergence_tol must be > 0", code="BAD_GRID")
-
-    @classmethod
-    def spanning_grid(cls, a, size: int = 8, **kwargs) -> "AdversaryConfig":
-        """Evenly spaced grid across the observable's spectral range."""
-        obs = as_observable(a)
-        if size < 2:
-            raise ObsavgError("grid size must be >= 2", code="BAD_GRID")
-        grid = np.linspace(obs.lambda_min, obs.lambda_max, size)
-        return cls(tuple(grid), **kwargs)
+_SMEAR_FRACTION = 0.25
 
 
 @dataclass
@@ -213,20 +184,100 @@ def _block_part(elements: np.ndarray, coupled: np.ndarray, schur: SchurBasis) ->
     return f
 
 
-def _search_schur_blocks(obs, space: CopySpace, values: np.ndarray, start, rng,
-                         max_iterations: int, convergence_tol: float) -> FeasibilityResult:
-    """The search on the Schur-Weyl blocks X_b of the permutation-invariant POVMs.
+def project_unbiased_povm(a, space: CopySpace, value_grid,
+                          *, start: np.ndarray | None = None,
+                          rng: np.random.Generator | None = None,
+                          max_iterations: int = 5000,
+                          convergence_tol: float = 1e-9) -> FeasibilityResult:
+    """Find a valid POVM with the given estimate values that is unbiased for a.
 
-    Rotated onto the observable's eigenbasis, the copy average is k.lambda / n
-    on every row of weight k, so it is diagonal in every block. The block
-    stack (blocks, M, R, R) is padded to the largest block's R rows and
-    masked to zero outside each block. A block gap bounds every entry of the
-    lifted gap by its spectral norm, so convergence is judged on the
-    Frobenius norm of the block gaps; completeness is judged again after
-    the one lift, within convergence_tol and within Povm.validate's
+    Douglas-Rachford splitting between the affine set (completeness plus
+    the first-moment constraint) and the PSD cone, in a basis where the
+    copy-averaged observable is diagonal; the returned POVM is the shadow,
+    the cone projection of the governing point. The affine projection
+    solves a 2x2 least-norm system per matrix entry over the outcomes
+    allowed to touch it. The forced supports are eliminated first: an
+    outcome announcing less than the top grid value must annihilate the top
+    eigenspace of the average (symmetrically at the bottom), so the reduced
+    affine set meets the interior of the cone. At such a Slater point
+    Douglas-Rachford reaches the intersection in finitely many steps
+    (Bauschke, Dao, Noll & Phan, J. Global Optim. 2016), in tens of
+    iterations on an 8-point grid. Each step acts on the whole stack at
+    once, with one stacked eigh.
+
+    The search runs on the permutation-invariant POVMs, which lose
+    nothing: rho^(x)n and the copy average commute with every copy
+    permutation, so twirling a POVM keeps it valid and unbiased and keeps
+    its outcome law on every rho^(x)n. By Schur-Weyl duality these POVMs
+    are sum_lambda F_(m,lambda) (x) I over the partitions lambda of n with
+    at most d rows, for every local dimension d. The stack holds one block
+    per lambda (dim V_lambda rows), padded to the largest block's R rows and
+    masked to zero outside it; rotated onto the observable's eigenbasis, the
+    copy average is k.lambda / n on every row of weight k, so it is diagonal
+    in every block. A block gap bounds every entry of the lifted gap by its
+    spectral norm, so convergence is judged on the Frobenius norm of the
+    block gaps. The POVM is then lifted to D x D once and its completeness
+    judged again, within convergence_tol and within Povm.validate's
     tolerance, so a looser convergence_tol never returns a POVM that
     compare refuses.
+
+    Parameters
+    ----------
+    a : Observable or array_like
+        Single-copy observable.
+    space : CopySpace
+        Copy space the POVM acts on.
+    value_grid : sequence of float
+        Estimate value per outcome, each within the observable's spectral
+        range; collectively they must cover both spectral endpoints.
+    start : ndarray, optional
+        Initial elements, shape (M, D, D), in the computational basis; only
+        their twirl is used. Random PSD blocks are drawn from rng when
+        omitted.
+    rng : numpy Generator, optional
+        Source for the random start; defaults to a fresh seeded generator.
+    max_iterations : int
+        Douglas-Rachford steps before InfeasibleError; an integer >= 1.
+    convergence_tol : float
+        Frobenius norm of the block gaps that counts as converged; > 0.
+
+    Raises
+    ------
+    ObsavgError
+        With code BAD_GRID, if value_grid is empty, not finite or outside
+        the spectral range, if max_iterations is not an integer >= 1, if
+        convergence_tol is not > 0, or if start has the wrong shape.
+    InfeasibleError
+        If the grid cannot support an unbiased POVM, or the iteration does
+        not reach convergence_tol within max_iterations.
+    DimensionMismatchError
+        If the observable's dimension is not space.local_dim.
+    DimensionCapError
+        Before anything of size D is allocated, if the lifted stack,
+        LIFT_MATRICES complex (D, D) matrices and BLOCK_STACKS block stacks
+        exceed check_memory_cap's bound.
     """
+    obs = as_observable(a)
+    values = np.asarray(value_grid, dtype=np.float64).reshape(-1)
+    if values.size < 1:
+        raise ObsavgError("value grid must be nonempty", code="BAD_GRID")
+    if not np.isfinite(values).all():
+        raise ObsavgError("value grid must be finite", code="BAD_GRID")
+    if not isinstance(max_iterations, numbers.Integral) or max_iterations < 1:
+        raise ObsavgError("max_iterations must be an integer >= 1", code="BAD_GRID")
+    if not convergence_tol > 0:
+        raise ObsavgError("convergence_tol must be > 0", code="BAD_GRID")
+    lo, hi = obs.lambda_min, obs.lambda_max
+    range_tol = 1e-9 * max(1.0, abs(lo), abs(hi))
+    span = {"grid_min": float(values.min()), "grid_max": float(values.max())}
+    if span["grid_min"] < lo - range_tol or span["grid_max"] > hi + range_tol:
+        raise ObsavgError(
+            f"grid values must stay within the spectral range [{lo:.6g}, {hi:.6g}]",
+            code="BAD_GRID", details=span)
+    if span["grid_max"] < hi - range_tol or span["grid_min"] > lo + range_tol:
+        raise InfeasibleError(
+            "grid does not cover the spectral endpoints, so no unbiased POVM on it exists",
+            details={"reason": "grid_coverage", **span, "lambda_min": lo, "lambda_max": hi})
     d, n, dim, n_out = space.local_dim, space.n_copies, space.total_dim, values.size
     if obs.dim != d:
         raise DimensionMismatchError(f"observable dim {obs.dim} does not match local_dim {d}")
@@ -274,126 +325,26 @@ def _search_schur_blocks(obs, space: CopySpace, values: np.ndarray, start, rng,
             # rounding in the lift: lift again once the blocks are twice as close
             del elements
             threshold = residual / 2
-        if iteration == max_iterations:
+        if iteration >= max_iterations:
             raise _no_convergence(convergence_tol, max_iterations, residual)
     raise AssertionError("unreachable")
 
 
-def project_unbiased_povm(a, space: CopySpace, value_grid,
-                          *, start: np.ndarray | None = None,
-                          rng: np.random.Generator | None = None,
-                          max_iterations: int = 5000,
-                          convergence_tol: float = 1e-9) -> FeasibilityResult:
-    """Find a valid POVM with the given estimate values that is unbiased for a.
-
-    Douglas-Rachford splitting between the affine set (completeness plus
-    the first-moment constraint) and the PSD cone, in a basis where the
-    copy-averaged observable is diagonal; the returned POVM is the shadow,
-    the cone projection of the governing point. The affine projection
-    solves a 2x2 least-norm system per matrix entry over the outcomes
-    allowed to touch it. The forced supports are eliminated first: an
-    outcome announcing less than the top grid value must annihilate the top
-    eigenspace of the average (symmetrically at the bottom), so the reduced
-    affine set meets the interior of the cone. At such a Slater point
-    Douglas-Rachford reaches the intersection in finitely many steps
-    (Bauschke, Dao, Noll & Phan, J. Global Optim. 2016), in tens of
-    iterations on an 8-point grid. Each step acts on the whole stack at
-    once, with one stacked eigh.
-
-    The search runs on the permutation-invariant POVMs, which lose
-    nothing: rho^(x)n and the copy average commute with every copy
-    permutation, so twirling a POVM keeps it valid and unbiased and keeps
-    its outcome law on every rho^(x)n. By Schur-Weyl duality these POVMs
-    are sum_lambda F_(m,lambda) (x) I over the partitions lambda of n with
-    at most d rows, for every local dimension d, so the stack holds one
-    padded block per lambda (dim V_lambda rows) and the POVM is lifted to
-    D x D once, after convergence.
-
-    Parameters
-    ----------
-    a : Observable or array_like
-        Single-copy observable.
-    space : CopySpace
-        Copy space the POVM acts on.
-    value_grid : sequence of float
-        Estimate value per outcome, each within the observable's spectral
-        range; collectively they must cover both spectral endpoints.
-    start : ndarray, optional
-        Initial elements, shape (M, D, D), in the computational basis; only
-        their twirl is used. Random PSD blocks are drawn from rng when
-        omitted.
-    rng : numpy Generator, optional
-        Source for the random start; defaults to a fresh seeded generator.
-
-    Raises
-    ------
-    InfeasibleError
-        If the grid cannot support an unbiased POVM, or the iteration does
-        not reach convergence_tol within max_iterations.
-    DimensionMismatchError
-        If the observable's dimension is not space.local_dim.
-    DimensionCapError
-        Before anything of size D is allocated, if the lifted stack,
-        LIFT_MATRICES complex (D, D) matrices and BLOCK_STACKS block stacks
-        exceed check_memory_cap's bound.
-    """
-    obs = as_observable(a)
-    values = np.asarray(value_grid, dtype=np.float64).reshape(-1)
-    if values.size < 1 or not np.isfinite(values).all():
-        raise ObsavgError("value grid must be nonempty and finite", code="BAD_GRID")
-    lo, hi = obs.lambda_min, obs.lambda_max
-    range_tol = 1e-9 * max(1.0, abs(lo), abs(hi))
-    if values.min() < lo - range_tol or values.max() > hi + range_tol:
-        raise ObsavgError(
-            f"grid values must stay within the spectral range [{lo:.6g}, {hi:.6g}]",
-            code="BAD_GRID",
-            details={"grid_min": float(values.min()), "grid_max": float(values.max())},
-        )
-    if values.max() < hi - range_tol or values.min() > lo + range_tol:
-        raise InfeasibleError(
-            "grid does not cover the spectral endpoints, so no unbiased POVM "
-            "on it exists",
-            details={
-                "reason": "grid_coverage",
-                "grid_min": float(values.min()),
-                "grid_max": float(values.max()),
-                "lambda_min": lo,
-                "lambda_max": hi,
-            },
-        )
-    return _search_schur_blocks(obs, space, values, start, rng, max_iterations, convergence_tol)
-
-
-def random_unbiased_povm(a, space: CopySpace, config: AdversaryConfig) -> Povm:
-    """A random valid POVM on the config grid, unbiased for the observable."""
-    rng = np.random.default_rng(config.seed)
-    result = project_unbiased_povm(
-        a,
-        space,
-        config.value_grid,
-        rng=rng,
-        max_iterations=config.max_iterations,
-        convergence_tol=config.convergence_tol,
-    )
-    return result.povm
-
-
 def smear_povm(base: Povm, deltas=None, *, seed: int | None = None,
-               max_fraction: float = 0.25,
                value_range: tuple[float, float] | None = None) -> Povm:
     """Split every outcome into a +/- delta pair at half weight.
 
     Keeps the first moment (hence unbiasedness) exactly and raises the
     squared estimation error by sum_n p_n delta_n**2 on every state.
     Deltas are drawn uniformly from the seeded generator when not given,
-    scaled by max_fraction of the value span and clipped to the headroom
+    scaled by _SMEAR_FRACTION of the value span and clipped to the headroom
     of value_range when one is provided.
     """
     values = base.values
     if deltas is None:
         rng = np.random.default_rng(seed)
         span = float(values.max() - values.min()) or 1.0
-        deltas = rng.uniform(0.0, max_fraction * span, size=values.size)
+        deltas = rng.uniform(0.0, _SMEAR_FRACTION * span, size=values.size)
         if value_range is not None:
             lo, hi = value_range
             headroom = np.minimum(values - lo, hi - values)
@@ -436,15 +387,7 @@ class ComparisonReport:
     moment_floor: float
 
     def to_dict(self) -> dict:
-        return {
-            "n_copies": self.n_copies,
-            "n_outcomes": self.n_outcomes,
-            "adversary_error": self.adversary_error,
-            "canonical_error": self.canonical_error,
-            "gap": self.gap,
-            "unbiasedness_residual": self.unbiasedness_residual,
-            "moment_floor": self.moment_floor,
-        }
+        return asdict(self)
 
 
 def compare(p: Povm, a, rho) -> ComparisonReport:
@@ -493,36 +436,33 @@ _TRIAL_METRICS = ("n_outcomes", "adversary_error", "canonical_error", "gap",
                   "unbiasedness_residual", "completeness_residual", "moment_floor")
 
 
-def run_trials(a, space: CopySpace, config: AdversaryConfig,
-               n_trials: int) -> tuple[list[dict], dict]:
+def run_trials(a, space: CopySpace, value_grid, n_trials: int, *, seed: int = 0,
+               max_iterations: int = 5000,
+               convergence_tol: float = 1e-9) -> tuple[list[dict], dict]:
     """Batch of independent adversary draws, each compared on a fresh state.
 
-    Trial t uses seed config.seed + t for both the POVM search and the
-    probe state. Returns per-trial rows plus a summary; trials that fail
-    to converge are recorded with empty metrics rather than aborting the
-    batch (an infeasible grid still raises immediately).
+    Trial t uses seed seed + t for both the POVM search and the probe
+    state; value_grid, max_iterations and convergence_tol go to
+    project_unbiased_povm as they are. Returns per-trial rows plus a
+    summary; trials that fail to converge are recorded with empty metrics
+    rather than aborting the batch (an invalid or infeasible grid still
+    raises immediately).
     """
     if n_trials < 1:
         raise ObsavgError("n_trials must be >= 1", code="BAD_GRID")
     obs = as_observable(a)
     rows: list[dict] = []
     for trial in range(n_trials):
-        seed = config.seed + trial
-        rng = np.random.default_rng(seed)
-        row: dict = {"trial": trial, "seed": seed}
+        rng = np.random.default_rng(seed + trial)
+        row: dict = {"trial": trial, "seed": seed + trial}
         try:
-            result = project_unbiased_povm(
-                obs,
-                space,
-                config.value_grid,
-                rng=rng,
-                max_iterations=config.max_iterations,
-                convergence_tol=config.convergence_tol,
-            )
+            result = project_unbiased_povm(obs, space, value_grid, rng=rng,
+                                           max_iterations=max_iterations,
+                                           convergence_tol=convergence_tol)
         except InfeasibleError as err:
             if err.details.get("reason") != "no_convergence":
                 raise
-            row.update(converged=False, iterations=config.max_iterations)
+            row.update(converged=False, iterations=max_iterations)
             row.update(dict.fromkeys(_TRIAL_METRICS))
             rows.append(row)
             continue
@@ -536,7 +476,7 @@ def run_trials(a, space: CopySpace, config: AdversaryConfig,
     summary = {
         "trials": n_trials,
         "converged": len(done["gap"]),
-        "grid_size": len(config.value_grid),
+        "grid_size": np.size(value_grid),
         "min_gap": min(done["gap"], default=None),
         "max_gap": max(done["gap"], default=None),
         "mean_gap": float(np.mean(done["gap"])) if done["gap"] else None,

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import jsonio
-from .adversary import AdversaryConfig, run_trials
+from .adversary import run_trials
 from .errors import DimensionMismatchError, FormatError, ObsavgError
 from .estimators import canonical_error, estimate_canonical, simulate_repeated
 from .linops import (
@@ -310,16 +310,11 @@ def _cmd_adversary(opt: dict) -> int:
     obs = _load_observable(opt["observable"])
     space = CopySpace(obs.dim, opt["copies"])
     grid = opt["grid"]
-    kwargs = {
-        "max_iterations": opt["max_iterations"],
-        "convergence_tol": opt["tol"],
-        "seed": opt["seed"],
-    }
     if isinstance(grid, int):
-        config = AdversaryConfig.spanning_grid(obs, size=grid, **kwargs)
-    else:
-        config = AdversaryConfig(grid, **kwargs)
-    rows, summary = run_trials(obs, space, config, opt["trials"])
+        grid = np.linspace(obs.lambda_min, obs.lambda_max, grid)
+    rows, summary = run_trials(obs, space, grid, opt["trials"], seed=opt["seed"],
+                               max_iterations=opt["max_iterations"],
+                               convergence_tol=opt["tol"])
     _emit(summary, opt["out"])
     if opt["csv"] is not None:
         jsonio.write_text(jsonio.rows_csv(rows), opt["csv"])

@@ -22,7 +22,7 @@ from .linops import (
     tensor_power,
 )
 from .povm import OutcomeDistribution, Povm
-from .symspace import CopySpace
+from .symspace import CopySpace, _digit_counts
 
 MERGE_TOL_SCALE = 1e-8
 # eight-byte words per type at the type route's peak, beyond two (types, d)
@@ -154,11 +154,8 @@ def _product_basis(obs: Observable, space: CopySpace) -> tuple[np.ndarray, np.nd
         raise DimensionMismatchError(
             f"observable dim {obs.dim} does not match local_dim {space.local_dim}"
         )
-    d = space.local_dim
-    counts = np.zeros((1, d), dtype=np.int64)
-    for _ in range(space.n_copies):
-        counts = (counts[:, None, :] + np.eye(d, dtype=np.int64)).reshape(-1, d)
-    return tensor_power(obs.eigenvectors, space.n_copies), counts
+    d, n = space.local_dim, space.n_copies
+    return tensor_power(obs.eigenvectors, n), _digit_counts(d, n)
 
 
 def _spectral_probabilities(obs: Observable, state: DensityMatrix) -> np.ndarray:
@@ -203,14 +200,10 @@ def canonical_povm(a, space: CopySpace, merge_tol: float | None = None) -> Povm:
                      f"canonical POVM stack of {n_out} elements of dim {dim}",
                      outcomes=n_out, dim=dim)
     basis, col_counts = _product_basis(obs, space)
-    # every column's count vector is one of the types: match them as rows
-    n_types = classes.labels.size
-    _, ids = np.unique(np.vstack([classes.counts, col_counts]), axis=0,
-                       return_inverse=True)
-    ids = ids.reshape(-1)
-    label_of_id = np.empty(n_types, dtype=np.int64)
-    label_of_id[ids[:n_types]] = classes.labels
-    col_labels = label_of_id[ids[n_types:]]
+    # every column's count vector is one of the types, whose rows ascend in
+    # base n + 1 with the first count most significant
+    radix = (space.n_copies + 1) ** np.arange(obs.dim - 1, -1, -1)
+    col_labels = classes.labels[np.searchsorted(classes.counts @ radix, col_counts @ radix)]
     elements = np.empty((n_out, dim, dim), dtype=np.complex128)
     for m in range(n_out):
         vecs = basis[:, col_labels == m]
@@ -319,9 +312,7 @@ class EstimationReport:
 def _sample_stats(dist: OutcomeDistribution, shots: int,
                   seed: int | None) -> tuple[float, float]:
     """Mean and sample standard deviation of shots seeded multinomial draws."""
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(shots, dist.probabilities / dist.probabilities.sum())
-    counts = counts.astype(float)
+    counts = dist.sample(shots, seed).astype(float)
     mean = float(counts @ dist.values / shots)
     if shots > 1:
         var = float(counts @ (dist.values - mean) ** 2 / (shots - 1))

@@ -72,6 +72,11 @@ class OutcomeDistribution:
         """Root mean square deviation of the outcome value from center."""
         return float(np.sqrt(self.probabilities @ (self.values - center) ** 2))
 
+    def sample(self, shots: int, seed: int | None = None) -> np.ndarray:
+        """Multinomial counts of shots draws; deterministic for a fixed seed."""
+        p = self.probabilities / self.probabilities.sum()
+        return np.random.default_rng(seed).multinomial(shots, p).astype(np.int64)
+
     def sorted_by_value(self) -> "OutcomeDistribution":
         order = np.argsort(self.values, kind="stable")
         return OutcomeDistribution(
@@ -285,10 +290,7 @@ class Povm:
             raise ValueError(f"shots must be >= 0, got {shots}")
         if shots == 0:
             return np.zeros(self.n_outcomes, dtype=np.int64)
-        dist = self.probabilities(state)
-        p = dist.probabilities / dist.probabilities.sum()
-        rng = np.random.default_rng(seed)
-        return rng.multinomial(shots, p).astype(np.int64)
+        return self.probabilities(state).sample(shots, seed)
 
 
 def moment_inequality_floor(p: Povm) -> float:

@@ -51,6 +51,12 @@ def _digit_table(local_dim: int, n_copies: int) -> tuple[np.ndarray, np.ndarray]
     return digits, weights
 
 
+def _digit_counts(local_dim: int, n_copies: int) -> np.ndarray:
+    """(D, d) table: how many sites of composite index i carry each digit."""
+    digits, _ = _digit_table(local_dim, n_copies)
+    return np.stack([(digits == a).sum(axis=1) for a in range(local_dim)], axis=1)
+
+
 def lift(a, site: int, space: CopySpace) -> np.ndarray:
     """a acting on one site, identity elsewhere: I ox ... ox a ox ... ox I."""
     m = as_matrix(a)
@@ -214,7 +220,7 @@ def _schur_basis(local_dim: int, n_copies: int) -> SchurBasis:
     d, n = local_dim, n_copies
     digits, place = _digit_table(d, n)
     dim = d**n
-    weights = np.stack([(digits == a).sum(axis=1) for a in range(d)], axis=1)
+    weights = _digit_counts(d, n)
     types: dict[tuple[int, ...], np.ndarray] = {}
     position = np.empty(dim, dtype=np.int64)
     codes = weights @ (n + 1) ** np.arange(d)

@@ -57,6 +57,6 @@ def search_product_basis(obs, space: CopySpace, values: np.ndarray, start, rng,
                 elements.setflags(write=False)
                 return FeasibilityResult(Povm(values, elements, space), iteration, res_eye)
             del elements  # one stack fewer while the iteration goes on
-        if iteration == max_iterations:
+        if iteration >= max_iterations:
             raise _no_convergence(convergence_tol, max_iterations, max(res_eye, res_avg))
     raise AssertionError("unreachable")

@@ -16,12 +16,7 @@ import numpy as np
 import pytest
 
 from obsavg import jsonio
-from obsavg.adversary import (
-    AdversaryConfig,
-    compare,
-    random_unbiased_povm,
-    smear_povm,
-)
+from obsavg.adversary import compare, project_unbiased_povm, smear_povm
 from obsavg.estimators import (
     canonical_error,
     canonical_povm,
@@ -29,7 +24,8 @@ from obsavg.estimators import (
     simulate_repeated,
     total_variation,
 )
-from obsavg.linops import pure_state, random_density, random_hermitian, trace_product, tensor_power
+from obsavg.linops import (Observable, pure_state, random_density, random_hermitian,
+                           tensor_power, trace_product)
 from obsavg.polarization import (
     coefficient_extract,
     product_expectation,
@@ -94,11 +90,12 @@ def adversary_pool():
         rng = np.random.default_rng(10_000 + t)
         a = random_hermitian(2, rng)
         space = CopySpace(2, n)
+        obs = Observable(a)
+        grid = np.linspace(obs.lambda_min, obs.lambda_max, 5)
         # tight tolerance so the projected POVM passes default validity
-        config = AdversaryConfig.spanning_grid(a, size=5, seed=20_000 + t,
-                                               convergence_tol=1e-10)
         try:
-            p = random_unbiased_povm(a, space, config)
+            p = project_unbiased_povm(a, space, grid, rng=np.random.default_rng(20_000 + t),
+                                      convergence_tol=1e-10).povm
         except Exception as exc:  # honest bookkeeping, asserted later
             failures.append((t, repr(exc)))
             continue

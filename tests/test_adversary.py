@@ -9,10 +9,8 @@ from obsavg import adversary
 from obsavg.adversary import (
     BLOCK_STACKS,
     LIFT_MATRICES,
-    AdversaryConfig,
     compare,
     project_unbiased_povm,
-    random_unbiased_povm,
     run_trials,
     smear_povm,
 )
@@ -35,22 +33,27 @@ X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SPIN1_Z = np.diag([1.0, 0.0, -1.0]).astype(complex)
 
 
-def test_config_validation():
-    cfg = AdversaryConfig((0.0, 1.0))
-    assert cfg.value_grid == (0.0, 1.0)
-    with pytest.raises(ObsavgError):
-        AdversaryConfig(())
-    with pytest.raises(ObsavgError):
-        AdversaryConfig((np.inf, 0.0))
-    with pytest.raises(ObsavgError):
-        AdversaryConfig((0.0,), max_iterations=0)
+def _spanning_grid(a, size: int) -> np.ndarray:
+    obs = Observable(a)
+    return np.linspace(obs.lambda_min, obs.lambda_max, size)
 
 
-def test_spanning_grid_endpoints():
-    cfg = AdversaryConfig.spanning_grid(Observable(Z), size=5)
-    assert cfg.value_grid[0] == pytest.approx(-1.0)
-    assert cfg.value_grid[-1] == pytest.approx(1.0)
-    assert len(cfg.value_grid) == 5
+@pytest.mark.parametrize("grid,settings,message", [
+    ((), {}, "value grid must be nonempty"),
+    ((np.inf, 0.0), {}, "value grid must be finite"),
+    ((-1.0, np.nan, 1.0), {}, "value grid must be finite"),
+    ((-1.0, 1.0), {"max_iterations": 0}, "max_iterations must be an integer >= 1"),
+    # a fractional count once never met the loop's stop and ran for ever
+    ((-1.0, 1.0), {"max_iterations": 3.5}, "max_iterations must be an integer >= 1"),
+    ((-1.0, 1.0), {"convergence_tol": 0.0}, "convergence_tol must be > 0"),
+    ((-1.0, 1.0), {"convergence_tol": np.nan}, "convergence_tol must be > 0"),
+], ids=["empty", "inf", "nan", "zero-iterations", "fractional-iterations", "zero-tol",
+        "nan-tol"])
+def test_project_validates_its_settings(grid, settings, message):
+    with pytest.raises(ObsavgError) as err:
+        project_unbiased_povm(Z, CopySpace(2, 2), grid, **settings)
+    assert err.value.code == "BAD_GRID"
+    assert str(err.value) == message
 
 
 def test_canonical_start_converges_immediately():
@@ -113,7 +116,7 @@ def test_project_rejects_an_observable_of_another_dimension(a, local_dim):
 def test_douglas_rachford_converges_in_tens_of_iterations(a, n):
     # plain alternating projections took a mean of 472 and 573 iterations here
     space = CopySpace(len(a), n)
-    grid = AdversaryConfig.spanning_grid(a, size=8).value_grid
+    grid = _spanning_grid(a, 8)
     for seed in range(10):
         result = project_unbiased_povm(a, space, grid, rng=np.random.default_rng(seed),
                                        convergence_tol=1e-10)
@@ -159,7 +162,7 @@ def _check_trial_memory_guard(monkeypatch, a, n: int, tol: float, cap: int = 102
     bound = 16 * cap * cap
     monkeypatch.setenv("OBSAVG_DIM_CAP", str(cap))
     d = len(a)
-    run_trials(a, CopySpace(d, 2), AdversaryConfig((-1.0, 1.0)), 1)  # numpy's lazy imports
+    run_trials(a, CopySpace(d, 2), (-1.0, 1.0), 1)  # numpy's lazy imports
     space = CopySpace(d, n)
 
     def accepted(m: int, n: int) -> bool:
@@ -168,8 +171,8 @@ def _check_trial_memory_guard(monkeypatch, a, n: int, tol: float, cap: int = 102
         return 16 * (d ** (2 * n) * (m + LIFT_MATRICES) + BLOCK_STACKS * stack) <= bound
 
     def trial(size, trial_space):
-        config = AdversaryConfig.spanning_grid(a, size=size, seed=5, convergence_tol=tol)
-        return lambda: run_trials(a, trial_space, config, 1)
+        grid = _spanning_grid(a, size)
+        return lambda: run_trials(a, trial_space, grid, 1, seed=5, convergence_tol=tol)
 
     m = 2  # the largest grid accepted at n copies
     while accepted(m + 1, n):
@@ -289,7 +292,7 @@ def test_block_route_matches_the_dense_solver(sizes, coefficients, size, seed):
     # both solvers alike; exactly degenerate spectra are checked on their own
     # below
     assume(np.diff(np.linalg.eigvalsh(a)).min() >= 0.2)
-    grid = AdversaryConfig.spanning_grid(a, size=size).value_grid
+    grid = _spanning_grid(a, size)
     _check_block_route_against_dense(a, n, grid, seed)
 
 
@@ -304,11 +307,11 @@ def test_block_route_matches_the_dense_solver_at_the_edges(a, n, grid):
     _check_block_route_against_dense(a, n, grid, seed=9)
 
 
-def test_random_unbiased_povm_deterministic():
+def test_project_is_deterministic_for_a_seeded_rng():
     space = CopySpace(2, 2)
-    cfg = AdversaryConfig((-1.0, -0.5, 0.0, 0.5, 1.0), seed=11)
-    p1 = random_unbiased_povm(Z, space, cfg)
-    p2 = random_unbiased_povm(Z, space, cfg)
+    grid = (-1.0, -0.5, 0.0, 0.5, 1.0)
+    p1 = project_unbiased_povm(Z, space, grid, rng=np.random.default_rng(11)).povm
+    p2 = project_unbiased_povm(Z, space, grid, rng=np.random.default_rng(11)).povm
     assert np.array_equal(p1.elements, p2.elements)
     assert p1.validate(psd_tol=1e-8, completeness_tol=1e-8).ok
 
@@ -421,8 +424,8 @@ def test_compare_warns_on_out_of_range_values():
 
 def test_run_trials_batch():
     space = CopySpace(2, 2)
-    cfg = AdversaryConfig((-1.0, -0.5, 0.0, 0.5, 1.0), seed=100)
-    rows, summary = run_trials(Z, space, cfg, 5)
+    grid = (-1.0, -0.5, 0.0, 0.5, 1.0)
+    rows, summary = run_trials(Z, space, grid, 5, seed=100)
     assert len(rows) == 5
     assert summary["trials"] == 5
     assert summary["converged"] == 5
@@ -431,7 +434,7 @@ def test_run_trials_batch():
     for row in rows:
         assert row["converged"]
         assert row["moment_floor"] >= -1e-9
-    rows2, summary2 = run_trials(Z, space, cfg, 5)
+    rows2, summary2 = run_trials(Z, space, grid, 5, seed=100)
     assert rows == rows2 and summary == summary2
 
 
@@ -444,8 +447,8 @@ def test_run_trials_records_a_trial_that_does_not_converge(monkeypatch):
         return real(*args, rng=rng, **kwargs)
 
     monkeypatch.setattr(adversary, "project_unbiased_povm", fail_second_trial)
-    cfg = AdversaryConfig((-1.0, -0.5, 0.0, 0.5, 1.0), seed=100, max_iterations=700)
-    rows, summary = run_trials(Z, CopySpace(2, 2), cfg, 3)
+    rows, summary = run_trials(Z, CopySpace(2, 2), (-1.0, -0.5, 0.0, 0.5, 1.0), 3, seed=100,
+                               max_iterations=700)
     failed = rows[1]
     assert list(failed) == list(rows[0])
     assert failed["converged"] is False
@@ -465,6 +468,6 @@ def test_run_trials_records_a_trial_that_does_not_converge(monkeypatch):
         row["completeness_residual"] for row in done)
     assert summary["min_moment_floor"] == min(row["moment_floor"] for row in done)
     # a batch of failures only: every summary statistic is empty
-    rows, summary = run_trials(Z, CopySpace(2, 2), AdversaryConfig((-1.0, 1.0), seed=101), 1)
+    rows, summary = run_trials(Z, CopySpace(2, 2), (-1.0, 1.0), 1, seed=101)
     assert summary["converged"] == 0
     assert summary["min_gap"] is None and summary["mean_gap"] is None

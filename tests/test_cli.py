@@ -244,6 +244,18 @@ def test_adversary_subcommand(tmp_path, capsys):
     assert lines[0].startswith("trial,seed,converged,iterations")
 
 
+def test_adversary_spanning_grid_is_its_evenly_spaced_values(tmp_path, capsys):
+    outputs = []
+    for grid in ["--grid=5", "--grid=-1,-0.5,0,0.5,1"]:
+        csv_path = tmp_path / "trials.csv"
+        code = main(["adversary", "--observable", "pauli-z", "--copies", "2", "--trials", "2",
+                     grid, "--seed", "4", "--csv", str(csv_path)])
+        assert code == 0
+        outputs.append((capsys.readouterr().out, csv_path.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0][0])["grid_size"] == 5
+
+
 def test_adversary_infeasible_grid_exits_1(capsys):
     code = main([
         "adversary",

@@ -13,6 +13,7 @@ from obsavg.errors import DimensionCapError, DimensionMismatchError
 from obsavg.estimators import (
     TYPE_WORDS,
     EstimationReport,
+    _count_table,
     _product_basis,
     canonical_error,
     canonical_povm,
@@ -33,7 +34,7 @@ from obsavg.linops import (
     tensor_power,
 )
 from obsavg.povm import OutcomeDistribution
-from obsavg.symspace import CopySpace, copy_average
+from obsavg.symspace import CopySpace, _digit_counts, copy_average
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -195,6 +196,21 @@ def test_product_basis_diagonalises_the_dense_copy_average(a, n):
     assert np.abs(rotated - np.diag(theta)).max() <= 1e-12
     assert np.abs(basis.conj().T @ basis - np.eye(space.total_dim)).max() <= 1e-12
     assert (counts.sum(axis=1) == n).all()
+
+
+@pytest.mark.parametrize("d,n", [(1, 3), (2, 1), (2, 5), (3, 4), (4, 3), (5, 2)])
+def test_column_types_match_the_type_rows_by_radix(d, n):
+    # the column types built one copy at a time, as the reference
+    reference = np.zeros((1, d), dtype=np.int64)
+    for _ in range(n):
+        reference = (reference[:, None, :] + np.eye(d, dtype=np.int64)).reshape(-1, d)
+    assert np.array_equal(_digit_counts(d, n), reference)
+    # canonical_povm's match: the type rows ascend in base n + 1
+    types = _count_table(n, d)
+    radix = (n + 1) ** np.arange(d - 1, -1, -1)
+    codes = types @ radix
+    assert (np.diff(codes) > 0).all()
+    assert np.array_equal(types[np.searchsorted(codes, reference @ radix)], reference)
 
 
 def test_product_basis_refuses_a_wrong_dimension_observable():
