@@ -200,10 +200,14 @@ def canonical_povm(a, space: CopySpace, merge_tol: float | None = None) -> Povm:
                      f"canonical POVM stack of {n_out} elements of dim {dim}",
                      outcomes=n_out, dim=dim)
     basis, col_counts = _product_basis(obs, space)
-    # every column's count vector is one of the types, whose rows ascend in
-    # base n + 1 with the first count most significant
-    radix = (space.n_copies + 1) ** np.arange(obs.dim - 1, -1, -1)
-    col_labels = classes.labels[np.searchsorted(classes.counts @ radix, col_counts @ radix)]
+    # every column's count vector is one of the types: match them as rows
+    n_types = classes.labels.size
+    _, ids = np.unique(np.vstack([classes.counts, col_counts]), axis=0,
+                       return_inverse=True)
+    ids = ids.reshape(-1)
+    label_of_id = np.empty(n_types, dtype=np.int64)
+    label_of_id[ids[:n_types]] = classes.labels
+    col_labels = label_of_id[ids[n_types:]]
     elements = np.empty((n_out, dim, dim), dtype=np.complex128)
     for m in range(n_out):
         vecs = basis[:, col_labels == m]

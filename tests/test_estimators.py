@@ -13,7 +13,6 @@ from obsavg.errors import DimensionCapError, DimensionMismatchError
 from obsavg.estimators import (
     TYPE_WORDS,
     EstimationReport,
-    _count_table,
     _product_basis,
     canonical_error,
     canonical_povm,
@@ -199,18 +198,25 @@ def test_product_basis_diagonalises_the_dense_copy_average(a, n):
 
 
 @pytest.mark.parametrize("d,n", [(1, 3), (2, 1), (2, 5), (3, 4), (4, 3), (5, 2)])
-def test_column_types_match_the_type_rows_by_radix(d, n):
-    # the column types built one copy at a time, as the reference
+def test_digit_counts_are_the_column_types_built_one_copy_at_a_time(d, n):
     reference = np.zeros((1, d), dtype=np.int64)
     for _ in range(n):
         reference = (reference[:, None, :] + np.eye(d, dtype=np.int64)).reshape(-1, d)
     assert np.array_equal(_digit_counts(d, n), reference)
-    # canonical_povm's match: the type rows ascend in base n + 1
-    types = _count_table(n, d)
-    radix = (n + 1) ** np.arange(d - 1, -1, -1)
-    codes = types @ radix
-    assert (np.diff(codes) > 0).all()
-    assert np.array_equal(types[np.searchsorted(codes, reference @ radix)], reference)
+
+
+@pytest.mark.parametrize("spectrum", ["distinct", "degenerate"])
+def test_canonical_povm_labels_columns_exactly_at_a_wide_local_dim(spectrum):
+    # at d = 64 a base-(n + 1) code of the count rows needs 2**63, past int64
+    d = 64
+    w = np.arange(d, dtype=float) if spectrum == "distinct" else np.arange(d) // 3 * 1.0
+    u, _ = np.linalg.qr(random_hermitian(d, np.random.default_rng(5)))
+    povm = canonical_povm(u @ np.diag(w) @ u.conj().T, CopySpace(d, 1))
+    values = np.unique(w)
+    assert np.allclose(povm.values, values)
+    for value, element in zip(values, povm.elements):
+        vecs = u[:, w == value]
+        assert np.abs(element - vecs @ vecs.conj().T).max() <= 1e-10
 
 
 def test_product_basis_refuses_a_wrong_dimension_observable():
