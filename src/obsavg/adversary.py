@@ -126,16 +126,6 @@ def _no_convergence(tol: float, max_iterations: int, residual: float) -> Infeasi
     )
 
 
-def _start_stack(start, n_out: int, dim: int) -> np.ndarray:
-    f = np.asarray(start, dtype=np.complex128)
-    if f.shape != (n_out, dim, dim):
-        raise ObsavgError(
-            f"start must have shape ({n_out}, {dim}, {dim}), got {f.shape}",
-            code="BAD_GRID",
-        )
-    return f
-
-
 def _coupled_basis(obs, n: int) -> np.ndarray:
     """U^(x)n times the Schur basis: the Schur basis of the observable's eigenvectors.
 
@@ -164,24 +154,6 @@ def _lift_blocks(f: np.ndarray, coupled: np.ndarray, schur: SchurBasis) -> np.nd
     for lo in range(0, n_out, chunk):
         elements[lo:lo + chunk] = elements[lo:lo + chunk] @ adjoint
     return elements
-
-
-def _block_part(elements: np.ndarray, coupled: np.ndarray, schur: SchurBasis) -> np.ndarray:
-    """The (blocks, M, R, R) block stack of the twirl of a (M, D, D) stack.
-
-    Block b of the twirl is the mean over the copies of the diagonal
-    (copy, copy) blocks of coupled^dagger F coupled.
-    """
-    n_out, dim, _ = elements.shape
-    rows = schur.counts.shape[1]
-    f = np.zeros((len(schur.blocks), n_out, rows, rows), dtype=np.complex128)
-    for m in range(n_out):
-        image = elements[m] @ coupled
-        for b, (size, mult, cols) in enumerate(schur.blocks):
-            f[b, m, :size, :size] = np.einsum(
-                "akv,alv->kl", coupled[:, cols].reshape(dim, size, mult).conj(),
-                image[:, cols].reshape(dim, size, mult)) / mult
-    return f
 
 
 def project_unbiased_povm(a, space: CopySpace, value_grid,
@@ -231,9 +203,11 @@ def project_unbiased_povm(a, space: CopySpace, value_grid,
         Estimate value per outcome, each within the observable's spectral
         range; collectively they must cover both spectral endpoints.
     start : ndarray, optional
-        Initial elements, shape (M, D, D), in the computational basis; only
-        their twirl is used. Random PSD blocks are drawn from rng when
-        omitted.
+        Initial block stack, shape (blocks, M, R, R), in the layout of
+        _schur_basis(d, n) rotated onto the observable's eigenbasis (the
+        layout the POVM is searched in); entries outside each block are
+        ignored, and the caller's array is copied. Random PSD blocks are
+        drawn from rng when omitted.
     rng : numpy Generator, optional
         Source for the random start; defaults to a fresh seeded generator.
     max_iterations : int
@@ -294,14 +268,13 @@ def project_unbiased_povm(a, space: CopySpace, value_grid,
     masks = allow[..., :, None] & allow[..., None, :]
     target_eye = inside[:, :, None] * np.eye(theta.shape[1])
 
-    coupled = None
+    shape = masks.shape
     if start is not None:
-        coupled = _coupled_basis(obs, n)
-        f = _block_part(_start_stack(start, n_out, dim), coupled, schur)
+        f = np.array(start, dtype=np.complex128)  # a copy, as the search updates f in place
+        if f.shape != shape:
+            raise ObsavgError(f"start must have shape {shape}, got {f.shape}", code="BAD_GRID")
     else:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        shape = masks.shape
+        rng = np.random.default_rng(0) if rng is None else rng
         f = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         f = f @ f.conj().swapaxes(-1, -2)
         f /= shape[-1]
@@ -309,6 +282,7 @@ def project_unbiased_povm(a, space: CopySpace, value_grid,
 
     lift_tol = min(convergence_tol, DEFAULT_TOL)
     threshold = convergence_tol
+    coupled = None
     steps = _douglas_rachford(f, values, masks, target_eye, target_eye * theta[:, None, :],
                               p, q, s)
     for iteration, (gap_eye, gap_avg, _) in enumerate(steps):

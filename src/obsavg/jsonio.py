@@ -14,8 +14,8 @@ from typing import NoReturn
 import numpy as np
 
 from .errors import FormatError
+from .linops import check_memory_cap
 from .povm import OutcomeDistribution, Povm
-from .symspace import CopySpace
 
 
 def format_float(x: float) -> str:
@@ -155,10 +155,15 @@ def matrix_from_json(data, where: str = "operator") -> np.ndarray:
         raise FormatError(f"{where}: 'dim' must be a positive integer")
     if "re" not in data:
         raise FormatError(f"{where}: missing 're'")
-    # filled part by part: re + 1j * im would turn a -0.0 in either part into +0.0
     out = np.empty((dim, dim), dtype=np.complex128)
-    out.real = _real_grid(data["re"], dim, "re", where)
-    im_data = data.get("im")
+    return _fill_matrix(out, data["re"], data.get("im"), where)
+
+
+def _fill_matrix(out: np.ndarray, re_data, im_data, where: str) -> np.ndarray:
+    """Fill the complex (dim, dim) out from the "re" and "im" grids ("im" may be null)
+    and return it; part by part, as re + 1j * im would turn a -0.0 into +0.0."""
+    dim = out.shape[0]
+    out.real = _real_grid(re_data, dim, "re", where)
     out.imag = 0.0 if im_data is None else _real_grid(im_data, dim, "im", where)
     return out
 
@@ -190,8 +195,10 @@ def povm_to_json(p: Povm) -> dict:
     return {"dim": p.dim, "outcomes": outcomes}
 
 
-def povm_from_json(data, space: CopySpace | None = None,
-                   where: str = "povm") -> Povm:
+def povm_from_json(data, where: str = "povm") -> Povm:
+    """Parse the POVM format into one read-only (M, D, D) stack, filled in place.
+
+    A short file can name any size, so the stack meets check_memory_cap first."""
     if not isinstance(data, dict):
         raise FormatError(f"{where}: expected a JSON object")
     dim = data.get("dim")
@@ -200,8 +207,11 @@ def povm_from_json(data, space: CopySpace | None = None,
     outcomes = data.get("outcomes")
     if not isinstance(outcomes, list) or not outcomes:
         raise FormatError(f"{where}: 'outcomes' must be a nonempty list")
-    values = []
-    elements = []
+    n_out = len(outcomes)
+    check_memory_cap(16 * n_out * dim * dim, f"{where}: a stack of {n_out} elements of dim {dim}",
+                     outcomes=n_out, dim=dim)
+    values = np.empty(n_out)
+    elements = np.empty((n_out, dim, dim), dtype=np.complex128)
     for k, entry in enumerate(outcomes):
         if not isinstance(entry, dict):
             raise FormatError(f"{where}: outcome {k} must be an object")
@@ -209,22 +219,18 @@ def povm_from_json(data, space: CopySpace | None = None,
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise FormatError(f"{where}: outcome {k} 'value' is not a number")
         try:
-            value = float(value)
+            values[k] = value
         except OverflowError:
             raise FormatError(f"{where}: outcome {k} 'value' is too large for a float") from None
-        if not math.isfinite(value):
+        if not math.isfinite(values[k]):
             raise FormatError(f"{where}: outcome {k} 'value' is not a finite number")
-        values.append(value)
-        elements.append(
-            matrix_from_json({"dim": dim, "re": entry.get("re"),
-                              "im": entry.get("im")},
-                             where=f"{where}: outcome {k}")
-        )
-    return Povm(values, np.stack(elements), space)
+        _fill_matrix(elements[k], entry.get("re"), entry.get("im"), f"{where}: outcome {k}")
+    elements.setflags(write=False)  # Povm keeps a frozen stack without a copy
+    return Povm(values, elements)
 
 
-def load_povm(path: str | Path, space: CopySpace | None = None) -> Povm:
-    return povm_from_json(_load_json(path, "povm"), space=space, where=str(path))
+def load_povm(path: str | Path) -> Povm:
+    return povm_from_json(_load_json(path, "povm"), where=str(path))
 
 
 def dump_povm(p: Povm) -> str:

@@ -16,7 +16,6 @@ from obsavg.adversary import (
     _douglas_rachford,
     _least_norm_coefficients,
     _no_convergence,
-    _start_stack,
 )
 from obsavg.estimators import _product_basis
 from obsavg.povm import Povm
@@ -35,7 +34,7 @@ def search_product_basis(obs, space: CopySpace, values: np.ndarray, start, rng,
     target_eye = np.eye(dim)
 
     if start is not None:
-        f = basis_q.conj().T @ _start_stack(start, n_out, dim) @ basis_q
+        f = basis_q.conj().T @ np.asarray(start, dtype=np.complex128) @ basis_q
     else:
         if rng is None:
             rng = np.random.default_rng(0)

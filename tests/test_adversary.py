@@ -9,6 +9,8 @@ from obsavg import adversary
 from obsavg.adversary import (
     BLOCK_STACKS,
     LIFT_MATRICES,
+    _coupled_basis,
+    _lift_blocks,
     compare,
     project_unbiased_povm,
     run_trials,
@@ -56,29 +58,75 @@ def test_project_validates_its_settings(grid, settings, message):
     assert str(err.value) == message
 
 
+def _block_stack(d: int, n: int, n_out: int) -> np.ndarray:
+    """Zeros in the search's (blocks, M, R, R) layout."""
+    schur = _schur_basis(d, n)
+    return np.zeros((len(schur.blocks), n_out) + (schur.counts.shape[1],) * 2, dtype=complex)
+
+
+def _canonical_block_start(obs: Observable, n: int, values: np.ndarray) -> np.ndarray:
+    """The canonical POVM in blocks: each row's diagonal entry is 1 on the
+    outcome nearest that row's type mean counts @ eigenvalues / n."""
+    schur = _schur_basis(obs.dim, n)
+    theta = schur.counts @ obs.eigenvalues / n
+    nearest = np.abs(theta[..., None] - values).argmin(axis=-1)
+    start = _block_stack(obs.dim, n, values.size)
+    b, r = np.nonzero(schur.counts.any(axis=-1))
+    start[b, nearest[b, r], r, r] = 1.0
+    return start
+
+
+def _random_block_start(d: int, n: int, n_out: int, rng) -> np.ndarray:
+    """Random PSD blocks in the search's (blocks, M, R, R) layout."""
+    shape = _block_stack(d, n, n_out).shape
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return g @ g.conj().swapaxes(-1, -2) / shape[-1]
+
+
 def test_canonical_start_converges_immediately():
     for a, space in [(Z, CopySpace(2, 2)), (SPIN1_Z, CopySpace(3, 3))]:
         p = canonical_povm(a, space)
-        result = project_unbiased_povm(
-            a, space, p.values, start=p.elements, max_iterations=50
-        )
+        start = _canonical_block_start(Observable(a), space.n_copies, p.values)
+        result = project_unbiased_povm(a, space, p.values, start=start, max_iterations=50)
         assert result.iterations == 0
         assert result.completeness_residual <= 1e-12
         assert np.abs(result.povm.elements - p.elements).max() <= 1e-12
 
 
 def test_start_off_the_cone_is_not_returned_as_a_povm():
-    # canonical Z elements at n = 2 with the symmetric weight-1 projector h
-    # moved: +h on the outcomes -1 and +1, -2h on 0. Complete and unbiased,
-    # so the gaps vanish, but the element for 0 has eigenvalue -1
+    # canonical Z in blocks at n = 2 with row 1 of block 0, the symmetric
+    # weight-1 row, moved: +1 on the outcomes -1 and +1, -2 on 0. Complete
+    # and unbiased, so the gaps vanish, but the element for 0 has eigenvalue -1
     space = CopySpace(2, 2)
     p = canonical_povm(Z, space)
-    v = np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2.0)
-    start = p.elements + np.multiply.outer(p.values**2 * 3 - 2, np.outer(v, v))
+    start = _canonical_block_start(Observable(Z), 2, p.values)
+    start[0, :, 1, 1] += p.values**2 * 3 - 2
     assert np.linalg.eigvalsh(start).min() < -0.9
     result = project_unbiased_povm(Z, space, p.values, start=start, max_iterations=50)
     assert result.povm.validate().ok
     assert result.povm.unbiasedness_residual(Z) <= 1e-9
+
+
+def test_project_copies_the_start():
+    space = CopySpace(2, 3)
+    grid = _spanning_grid(Z, 5)
+    start = _random_block_start(2, 3, grid.size, np.random.default_rng(8))
+    kept = start.copy()
+    result = project_unbiased_povm(Z, space, grid, start=start, convergence_tol=1e-10)
+    assert result.povm.validate().ok
+    assert np.array_equal(start, kept)
+
+
+def test_project_refuses_a_start_of_another_shape():
+    # a dense (M, D, D) stack is no longer a start: blocks (3, 3) here
+    space = CopySpace(2, 2)
+    p = canonical_povm(Z, space)
+    start = _canonical_block_start(Observable(Z), 2, p.values)
+    for wrong in (p.elements, start[:, :2], start[..., :2, :2]):
+        with pytest.raises(ObsavgError) as err:
+            project_unbiased_povm(Z, space, p.values, start=wrong)
+        assert err.value.code == "BAD_GRID"
+        assert str(err.value) == f"start must have shape (2, 3, 3, 3), got {wrong.shape}"
 
 
 def test_project_finds_valid_unbiased_povm():
@@ -248,20 +296,15 @@ def test_twirl_is_block_times_identity_in_spin_basis(n):
         assert np.abs(y).max() < 1e-12
 
 
-def _invariant_start(space: CopySpace, n_out: int, rng) -> np.ndarray:
-    """Random PSD elements, each twirled: a lifted block start."""
-    dim = space.total_dim
-    g = rng.standard_normal((n_out, dim, dim)) + 1j * rng.standard_normal((n_out, dim, dim))
-    return np.stack([twirl(e, space) for e in g @ g.conj().swapaxes(1, 2) / dim])
-
-
 def _check_block_route_against_dense(a, n: int, grid, seed: int) -> None:
-    """The block route and the dense solver from the same invariant start agree."""
+    """The block route from a random block start and the dense solver from its lift agree."""
     obs = Observable(a)
     space = CopySpace(obs.dim, n)
-    start = _invariant_start(space, len(grid), np.random.default_rng(seed))
+    start = _random_block_start(obs.dim, n, len(grid), np.random.default_rng(seed))
+    lifted = _lift_blocks(start, _coupled_basis(obs, n), _schur_basis(obs.dim, n))
+    assert np.abs(np.stack([twirl(e, space) for e in lifted]) - lifted).max() <= 1e-12
     block = project_unbiased_povm(obs, space, grid, start=start, convergence_tol=1e-12)
-    dense = search_product_basis(obs, space, np.asarray(grid, dtype=float), start,
+    dense = search_product_basis(obs, space, np.asarray(grid, dtype=float), lifted,
                                  None, 5000, 1e-12)
     for result in (block, dense):
         povm = result.povm

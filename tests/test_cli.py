@@ -1,8 +1,14 @@
 import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import obsavg
 from obsavg import jsonio
 from obsavg.cli import build_parser, builtin_operator, main
 from obsavg.estimators import canonical_povm
@@ -452,3 +458,18 @@ def test_non_finite_povm_value_is_a_format_error(tmp_path, capsys, value):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "BAD_FORMAT"
     assert "outcome 0 'value' is not a finite number" in err["message"]
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+def test_closed_stdout_ends_the_script_by_sigpipe():
+    # 1.6 MB of JSON, far beyond a pipe buffer, so the write meets the closed pipe
+    env = dict(os.environ, PYTHONPATH=str(Path(obsavg.__file__).parents[1]))
+    argv = [sys.executable, "-m", "obsavg.cli", "theta", "--observable", "pauli-z",
+            "--copies", "9"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        assert len(proc.stdout.read(20)) == 20
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == -signal.SIGPIPE
+    assert stderr == b""

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 from json_oracle import reference_dump_operator, reference_dump_povm
 
 from obsavg import jsonio
-from obsavg.errors import FormatError
+from obsavg.errors import DimensionCapError, FormatError
+from obsavg.estimators import canonical_povm
 from obsavg.linops import random_hermitian
 from obsavg.povm import OutcomeDistribution, Povm, random_povm
 from obsavg.symspace import CopySpace
@@ -101,10 +103,45 @@ def test_povm_round_trip(tmp_path):
     p = random_povm(space, 3, rng)
     path = tmp_path / "povm.json"
     jsonio.write_text(jsonio.dump_povm(p), path)
-    loaded = jsonio.load_povm(path, space=space)
+    raw = jsonio.load_povm(path)
+    assert raw.space is None
+    loaded = Povm(raw.values, raw.elements, space)
+    assert loaded.elements is raw.elements  # frozen as read, so kept without a copy
     assert np.array_equal(loaded.values, p.values)
     assert np.array_equal(loaded.elements, p.elements)
     assert loaded.space == space
+
+
+def test_povm_from_json_holds_one_element_stack():
+    # canonical pauli-z at n = 7: D = 128, M = 8, one stack of 2.1 MB
+    p = canonical_povm(np.diag([1.0, -1.0]), CopySpace(2, 7))
+    data = json.loads(jsonio.dump_povm(p))
+    tracemalloc.start()
+    try:
+        loaded = jsonio.povm_from_json(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.elements, p.elements)
+    assert peak <= 1.1 * p.elements.nbytes
+
+
+def test_povm_stack_meets_the_memory_rule_before_it_is_allocated(monkeypatch):
+    # 100 empty outcomes of dim 4096 name a 25 GiB stack; asked of numpy, it
+    # would end the CLI with a MemoryError traceback
+    monkeypatch.delenv("OBSAVG_DIM_CAP", raising=False)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionCapError):
+            jsonio.povm_from_json({"dim": 4096, "outcomes": [{}] * 100})
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setenv("OBSAVG_DIM_CAP", "4")  # one 4 x 4 complex matrix
+    eye = {"value": 1.0, "re": np.eye(4).tolist()}
+    assert jsonio.povm_from_json({"dim": 4, "outcomes": [eye]}).n_outcomes == 1
+    with pytest.raises(DimensionCapError):
+        jsonio.povm_from_json({"dim": 4, "outcomes": [eye, eye]})
 
 
 def test_povm_json_rejects_malformed():

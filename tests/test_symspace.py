@@ -13,6 +13,7 @@ from obsavg.symspace import (
     copy_average,
     invariant_basis,
     lift,
+    orbit_sums,
     pair_orbit_labels,
     twirl,
 )
@@ -157,6 +158,10 @@ def test_twirl_matches_conjugation_oracle_and_is_projection():
             p = permutation_operator(sigma, space)
             acc += p.conj().T @ x @ p
         oracle = acc / math.factorial(n)
+        # every entry of the twirl is the mean of x over its index-pair orbit
+        labels = pair_orbit_labels(space)
+        orbit_mean = (orbit_sums(x, space) / np.bincount(labels.reshape(-1)))[labels]
+        assert np.abs(orbit_mean - oracle).max() < 1e-13
         out = twirl(x, space)
         assert np.abs(out - oracle).max() < 1e-13
         assert np.abs(twirl(out, space) - out).max() < 1e-13
