@@ -101,7 +101,8 @@ ARGV = [
     ["sample", "--povm", "huge_value.json", "--state", "plus.json", "--shots", "10"],
 ]
 # where the command has them, --out and --csv go to files of their own
-_WRITES = {"adversary": ["--csv"], "sample": ["--csv"], "canonical": ["--csv"]}
+_WRITES = {"adversary": ["--csv"], "sample": ["--csv"], "canonical": ["--csv"],
+           "simulate": ["--csv"]}
 
 
 def _with_files(k: int, argv: list[str]) -> list[str]:

@@ -19,6 +19,7 @@ from .linops import (
     as_observable,
     as_state,
     check_memory_cap,
+    memory_cap_bytes,
     tensor_power,
 )
 from .povm import OutcomeDistribution, Povm
@@ -29,6 +30,20 @@ MERGE_TOL_SCALE = 1e-8
 # tables: listing holds two tables, clustering one plus 8.1 words per type
 # (measured at d = 2 and 3 with every type its own outcome)
 TYPE_WORDS = 8
+# eight-byte words per pair at the peak of a repeated-route merge: the pairs'
+# values and weights, the sort order, the sorted copies, labels, scaled
+# weights and the clustered output (tracemalloc: 9.13 with every pair its own
+# outcome, plus the law merged into, under 0.2 per pair beside a 12-point power)
+MERGE_WORDS = 10
+# the repeated route squares its power of the single-copy law until the
+# power has this many outcomes: from there a merge with it costs more in
+# sorting than in numpy's fixed per-call overhead, and squaring a larger
+# support wastes work on pairs that collapse into few values
+_POWER_SUPPORT = 12
+# a merge's fixed numpy cost, in pairs sorted: about 40 us against 90 ns a
+# pair (2 CPUs, numpy 2.4); a power is merged in as two merges of its half
+# when those sort more than this many pairs fewer
+_MERGE_OVERHEAD_PAIRS = 450
 
 
 def default_merge_tol(values: np.ndarray) -> float:
@@ -236,13 +251,61 @@ def single_copy_distribution(a, rho, merge_tol: float | None = None) -> OutcomeD
     return OutcomeDistribution(values, probs)
 
 
+def _merge_bytes(acc: tuple[np.ndarray, np.ndarray], power: tuple[np.ndarray, np.ndarray]) -> int:
+    """The peak bytes of merging the laws acc and power: MERGE_WORDS words per pair."""
+    return 8 * MERGE_WORDS * acc[0].size * power[0].size
+
+
+def _convolve(acc: tuple[np.ndarray, np.ndarray], power: tuple[np.ndarray, np.ndarray],
+              tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The law of the sum of two independent laws, clustered by _merge_weighted.
+
+    Row i of the pairs is acc's sorted values shifted by power's value i, so
+    the stable sort merges sorted runs. Raises DimensionCapError, before any
+    pair is formed, when _merge_bytes exceeds check_memory_cap's bound.
+    """
+    (acc_v, acc_p), (pow_v, pow_p) = acc, power
+    check_memory_cap(_merge_bytes(acc, power),
+                     f"a convolution of {acc_v.size} by {pow_v.size} outcomes",
+                     pairs=acc_v.size * pow_v.size)
+    return _merge_weighted((pow_v[:, None] + acc_v).ravel(),
+                           (pow_p[:, None] * acc_p).ravel(), tol)
+
+
+def _merge_in(acc: tuple[np.ndarray, np.ndarray], powers: list[tuple[np.ndarray, np.ndarray]],
+              j: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """acc convolved with powers[j] = P^(2^j).
+
+    powers[j - 1] is merged in twice instead, recursively, when that sorts
+    over _MERGE_OVERHEAD_PAIRS fewer pairs (a spectrum whose sums rarely
+    coincide, as at d >= 3: P^4 of d = 4 has 35 outcomes, P^2 10) or when
+    the pairs with powers[j] would pass the memory cap. So only a merge with
+    P, the size of every merge of a one-copy-at-a-time convolution, is refused.
+    """
+    if j > 0:
+        saved = acc[0].size * (powers[j][0].size - 2 * powers[j - 1][0].size)
+        if saved > _MERGE_OVERHEAD_PAIRS or _merge_bytes(acc, powers[j]) > memory_cap_bytes():
+            return _merge_in(_merge_in(acc, powers, j - 1, tol), powers, j - 1, tol)
+    return _convolve(acc, powers[j], tol)
+
+
 def repeated_measurement_distribution(a, rho, n_copies: int,
                                       merge_tol: float | None = None) -> OutcomeDistribution:
     """Distribution of the average of n independent single-copy measurements.
 
-    Convolves the single-copy spectral distribution with itself n times on
-    the average scale (each step adds value/n), clustering coincident
-    support points with merge_tol after every step.
+    An n-fold convolution of the single-copy spectral distribution P on the
+    average scale (each copy adds value/n), by binary powers: P, P^2, P^4, ...
+    are squared up to the first power with _POWER_SUPPORT outcomes (or the
+    largest power of two not above n), the powers of n's lower bits are
+    merged in, then the top power P^(2^J) n >> J times. A merge whose pairs
+    would pass the memory cap is split into merges of smaller powers.
+    Coincident support points are clustered with merge_tol after every merge.
+
+    Raises
+    ------
+    DimensionCapError
+        If even a merge with P (outcomes so far x outcomes of P) would take
+        more memory than one cap-sized matrix.
     """
     if n_copies < 1:
         raise DimensionMismatchError(f"n_copies must be >= 1, got {n_copies}")
@@ -250,14 +313,15 @@ def repeated_measurement_distribution(a, rho, n_copies: int,
     if merge_tol is None:
         merge_tol = default_merge_tol(obs.eigenvalues)
     base = single_copy_distribution(obs, rho, merge_tol=merge_tol)
-    step_v = base.values / n_copies
-    step_p = base.probabilities
-    acc_v, acc_p = step_v.copy(), step_p.copy()
-    for _ in range(n_copies - 1):
-        sums = (acc_v[:, None] + step_v[None, :]).ravel()
-        weights = (acc_p[:, None] * step_p[None, :]).ravel()
-        acc_v, acc_p = _merge_weighted(sums, weights, merge_tol)
-    return OutcomeDistribution(acc_v, acc_p)
+    powers = [(base.values / n_copies, base.probabilities)]
+    while powers[-1][0].size < _POWER_SUPPORT and 2 ** len(powers) <= n_copies:
+        powers.append(_convolve(powers[-1], powers[-1], merge_tol))
+    top = len(powers) - 1
+    bits = [j for j in range(top) if n_copies >> j & 1] + [top] * (n_copies >> top)
+    acc = powers[bits[0]]
+    for j in bits[1:]:
+        acc = _merge_in(acc, powers, j, merge_tol)
+    return OutcomeDistribution(*acc)
 
 
 def total_variation(dist_a: OutcomeDistribution, dist_b: OutcomeDistribution,
@@ -301,10 +365,8 @@ class EstimationReport:
         if self.povm_error is not None:
             out["povm_error"] = self.povm_error
         if self.distribution is not None:
-            out["outcome_values"] = [float(x) for x in self.distribution.values]
-            out["outcome_probabilities"] = [
-                float(x) for x in self.distribution.probabilities
-            ]
+            out["outcome_values"] = self.distribution.values.tolist()
+            out["outcome_probabilities"] = self.distribution.probabilities.tolist()
         if self.shots is not None:
             out["shots"] = self.shots
             out["seed"] = self.seed

@@ -41,10 +41,16 @@ def default_dim_cap() -> int:
     return cap
 
 
-def check_memory_cap(nbytes: int, what: str, **details) -> None:
-    """Raise DimensionCapError when a call's peak, nbytes, exceeds 16 cap^2 bytes."""
+def memory_cap_bytes() -> int:
+    """The bytes of one cap x cap complex matrix: the most one call may hold at its peak."""
     cap = default_dim_cap()
-    if nbytes > 16 * cap * cap:
+    return 16 * cap * cap
+
+
+def check_memory_cap(nbytes: int, what: str, **details) -> None:
+    """Raise DimensionCapError when a call's peak, nbytes, exceeds memory_cap_bytes()."""
+    if nbytes > memory_cap_bytes():
+        cap = default_dim_cap()
         raise DimensionCapError(
             f"{what} needs {nbytes} bytes, more than one {cap}^2 complex matrix",
             details={**details, "bytes": int(nbytes), "cap": cap},

@@ -1,10 +1,14 @@
-"""The adversary search on the whole (M, D, D) stack: the dense oracle of the tests.
+"""Independent routes the library's fast paths are checked against.
 
-The library searches the Schur-Weyl blocks of the permutation-invariant
-POVMs. This runs the same Douglas-Rachford step on every D x D element in
-the product eigenbasis U^(x)n, with no symmetry assumed, so the block route
-is checked against an independent route. Its cost is M D^3 per
-iteration, and it has no memory guard: keep D small.
+The adversary search on the whole (M, D, D) stack: the library searches the
+Schur-Weyl blocks of the permutation-invariant POVMs. This runs the same
+Douglas-Rachford step on every D x D element in the product eigenbasis
+U^(x)n, with no symmetry assumed, so the block route is checked against an
+independent route. Its cost is M D^3 per iteration, and it has no memory
+guard: keep D small.
+
+The repeated route one copy at a time: the library convolves by binary
+powers of the single-copy law; this merges one more copy n - 1 times.
 """
 from __future__ import annotations
 
@@ -17,8 +21,14 @@ from obsavg.adversary import (
     _least_norm_coefficients,
     _no_convergence,
 )
-from obsavg.estimators import _product_basis
-from obsavg.povm import Povm
+from obsavg.estimators import (
+    _merge_weighted,
+    _product_basis,
+    default_merge_tol,
+    single_copy_distribution,
+)
+from obsavg.linops import as_observable
+from obsavg.povm import OutcomeDistribution, Povm
 from obsavg.symspace import CopySpace
 
 
@@ -59,3 +69,25 @@ def search_product_basis(obs, space: CopySpace, values: np.ndarray, start, rng,
         if iteration >= max_iterations:
             raise _no_convergence(convergence_tol, max_iterations, max(res_eye, res_avg))
     raise AssertionError("unreachable")
+
+
+def sequential_repeated_distribution(a, rho, n_copies: int,
+                                     merge_tol: float | None = None) -> OutcomeDistribution:
+    """The law of the average of n single-copy outcomes, one copy merged in at a time.
+
+    Each step adds value/n of one more copy to every support point so far and
+    clusters the sums with merge_tol, as repeated_measurement_distribution does
+    after every merge.
+    """
+    obs = as_observable(a)
+    if merge_tol is None:
+        merge_tol = default_merge_tol(obs.eigenvalues)
+    base = single_copy_distribution(obs, rho, merge_tol=merge_tol)
+    step_v = base.values / n_copies
+    step_p = base.probabilities
+    acc_v, acc_p = step_v.copy(), step_p.copy()
+    for _ in range(n_copies - 1):
+        sums = (acc_v[:, None] + step_v[None, :]).ravel()
+        weights = (acc_p[:, None] * step_p[None, :]).ravel()
+        acc_v, acc_p = _merge_weighted(sums, weights, merge_tol)
+    return OutcomeDistribution(acc_v, acc_p)

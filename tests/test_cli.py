@@ -439,6 +439,21 @@ def test_unreadable_numbers_and_nesting_are_format_errors(tmp_path, capsys, text
     assert json.loads(capsys.readouterr().err)["error"] == "BAD_FORMAT"
 
 
+@pytest.mark.parametrize("argv", [
+    ["twirl", "--input", "{}", "--local-dim", "10"],
+    ["simulate", "--observable", "pauli-z", "--state", "{}", "--copies", "2", "--shots", "1"],
+    ["canonical", "--observable", "pauli-z", "--state", "{}", "--copies", "2"],
+], ids=["twirl", "simulate", "canonical"])
+def test_operator_header_naming_a_huge_matrix_is_a_format_error(tmp_path, capsys, argv):
+    # 25 bytes that name a 149 GiB matrix: refused before anything is allocated
+    path = tmp_path / "op.json"
+    path.write_text('{"dim": 100000, "re": []}', encoding="utf-8")
+    assert main([arg.format(path) for arg in argv]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "BAD_FORMAT"
+    assert err["message"] == f"{path}: 're' must be a 100000x100000 number grid"
+
+
 def test_povm_value_beyond_float_range_is_a_format_error(tmp_path, capsys):
     path = tmp_path / "povm.json"
     path.write_text('{"dim": 1, "outcomes": [{"value": 1%s, "re": [[1]]}]}' % ("0" * 400),

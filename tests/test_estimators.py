@@ -8,6 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dense_oracle import sequential_repeated_distribution
+
 from obsavg.adversary import project_unbiased_povm
 from obsavg.errors import DimensionCapError, DimensionMismatchError
 from obsavg.estimators import (
@@ -113,19 +115,35 @@ def canonical_instances(draw):
     d = draw(st.integers(1, 3))
     n = draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["generic", "identity", "repeated", "spaced"]))
-    lam = {
+    lam = _spectrum(draw(SPECTRA), d, rng)
+    # distinct type means at least 1e-3 apart keep the oracle's eigenvectors
+    # (and so its projectors) accurate to ~1e-13
+    assume(_type_means_apart(lam, n, 1e-3))
+    return _observable_and_state(draw, lam, rng) + (n,)
+
+
+SPECTRA = st.sampled_from(["generic", "identity", "repeated", "spaced"])
+
+
+def _spectrum(kind: str, d: int, rng) -> np.ndarray:
+    return {
         "generic": rng.uniform(-1.5, 1.5, d),
         "identity": np.ones(d),
         "repeated": rng.choice([-1.0, 0.5], d),
         "spaced": np.linspace(1.0, -1.0, d) if d > 1 else np.ones(1),
     }[kind]
-    # distinct type means at least 1e-3 apart keep the oracle's eigenvectors
-    # (and so its projectors) accurate to ~1e-13
-    types = itertools.combinations_with_replacement(range(d), n)
-    means = np.sort([lam[list(t)].sum() / n for t in types])
-    gaps = np.diff(means)
-    assume(np.all((gaps <= 1e-12) | (gaps >= 1e-3)))
+
+
+def _type_means_apart(lam: np.ndarray, n: int, gap: float) -> bool:
+    """Whether adjacent type means of n draws from lam all coincide (to 1e-12) or lie gap apart."""
+    types = np.array(list(itertools.combinations_with_replacement(range(lam.size), n)))
+    gaps = np.diff(np.sort(lam[types].sum(axis=1) / n))
+    return bool(np.all((gaps <= 1e-12) | (gaps >= gap)))
+
+
+def _observable_and_state(draw, lam: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
+    """An observable of spectrum lam, rotated or not, and a mixed, pure or eigen state."""
+    d = lam.size
     if draw(st.booleans()):
         u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
     else:
@@ -138,7 +156,7 @@ def canonical_instances(draw):
         rho = pure_state(rng.standard_normal(d) + 1j * rng.standard_normal(d)).matrix
     else:
         rho = pure_state(u[:, rng.integers(d)]).matrix
-    return (a + a.conj().T) / 2.0, rho, n
+    return (a + a.conj().T) / 2.0, rho
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -332,6 +350,114 @@ def test_repeated_distribution_moments():
     assert np.sqrt(dist.variance()) == pytest.approx(
         canonical_error(a, rho, 5), abs=1e-10
     )
+
+
+# 1, powers of two and their neighbours, where the binary powers of the
+# repeated route change shape
+REPEATED_COPIES = [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64]
+# the oracle merges one copy at a time: keeps generic spectra at d = 4 to n <= 17
+GENERIC_TYPES = 3000
+
+
+@st.composite
+def repeated_instances(draw):
+    """(observable, state, n): d <= 4, n from REPEATED_COPIES, spectra as canonical_instances.
+
+    A generic spectrum keeps its distinct type means 1e-7 apart, a few
+    merge_tol: a closer pair may chain differently when the routes cluster
+    it at different stages.
+    """
+    d = draw(st.sampled_from([2, 3, 4, 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(SPECTRA)
+    n = draw(st.sampled_from([n for n in REPEATED_COPIES if kind != "generic"
+                              or math.comb(n + d - 1, d - 1) <= GENERIC_TYPES]))
+    lam = _spectrum(kind, d, rng)
+    if kind == "generic":
+        assume(_type_means_apart(lam, n, 1e-7))
+    return _observable_and_state(draw, lam, rng) + (n,)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(repeated_instances())
+def test_repeated_route_matches_the_sequential_oracle(instance):
+    a, rho, n = instance
+    dist = repeated_measurement_distribution(a, rho, n)
+    oracle = sequential_repeated_distribution(a, rho, n)
+    assert len(dist) == len(oracle)
+    assert np.abs(dist.values - oracle.values).max() <= 1e-12
+    assert np.abs(dist.probabilities - oracle.probabilities).max() <= 1e-13
+    assert total_variation(dist, oracle) <= 1e-12
+    assert total_variation(dist, estimate_canonical(a, rho, n).distribution) <= 1e-12
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-12, 3e-9, 1e-8, 3e-8, 1e-6])
+def test_repeated_route_matches_the_oracle_on_near_degenerate_spectra(delta):
+    # on the average scale 2 + delta lies delta / n from 1 + 1, about
+    # merge_tol (2e-8) for some delta and n: those type means cluster or not
+    rng = np.random.default_rng(61)
+    a = np.diag([0.0, 1.0, 2.0 + delta])
+    rho = random_density(3, rng)
+    for n in (2, 7, 16, 33, 54):
+        dist = repeated_measurement_distribution(a, rho, n)
+        oracle = sequential_repeated_distribution(a, rho, n)
+        assert len(dist) == len(oracle)
+        assert total_variation(dist, oracle) <= 1e-12
+
+
+def test_repeated_route_gives_the_exact_binomial_law():
+    rho = 0.55 * PLUS.matrix + 0.45 * pure_state([1.0, -1.0]).matrix
+    p_minus, p_plus = (Fraction(p) for p in single_copy_distribution(X, rho).probabilities)
+    for n in (20, 200, 360):
+        dist = repeated_measurement_distribution(X, rho, n)
+        oracle = sequential_repeated_distribution(X, rho, n)
+        exact = (2 * np.arange(n + 1) - n) / n
+        assert len(dist) == n + 1
+        # rounding of the sums, no worse than merging one copy at a time
+        assert np.abs(dist.values - exact).max() <= np.abs(oracle.values - exact).max()
+        binomial = np.array([float(math.comb(n, k) * p_plus**k * p_minus ** (n - k))
+                             for k in range(n + 1)])
+        assert np.abs(dist.probabilities / binomial - 1.0).max() <= 1e-13
+
+
+def test_repeated_route_meets_the_memory_rule_before_each_merge(monkeypatch):
+    cap = 256  # one 256 x 256 complex matrix: 1 MiB, 13107 pairs
+    monkeypatch.setenv("OBSAVG_DIM_CAP", str(cap))
+    rng = np.random.default_rng(62)
+    a3 = random_hermitian(3, rng)
+    rho2, rho3 = random_density(2, rng), random_density(3, rng)
+    # at n = 2000 a law of ~1000 outcomes by P^16's 17 passes the cap: it is
+    # merged in as smaller powers; on the way to 5151 outcomes even a merge
+    # with P's 3 is refused
+    for a, rho, n, accepted in [(X, rho2, 360, True), (X, rho2, 2000, True),
+                                (a3, rho3, 54, True), (a3, rho3, 100, False)]:
+        tracemalloc.start()
+        try:
+            if accepted:
+                dist = repeated_measurement_distribution(a, rho, n)
+            else:
+                with pytest.raises(DimensionCapError) as info:
+                    repeated_measurement_distribution(a, rho, n)
+                assert info.value.code == "DIM_CAP"
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * cap * cap
+        if accepted:
+            oracle = sequential_repeated_distribution(a, rho, n)
+            assert len(dist) == len(oracle)
+            assert total_variation(dist, oracle) <= 1e-12
+
+
+def test_repeated_route_runs_a_generic_d4_law_at_the_default_cap(monkeypatch):
+    # 176851 outcomes: a merge with P^4's 35 would pass the cap, with P's 4 fits
+    monkeypatch.delenv("OBSAVG_DIM_CAP", raising=False)
+    rng = np.random.default_rng(63)
+    a, rho = random_hermitian(4, rng), random_density(4, rng)
+    dist = repeated_measurement_distribution(a, rho, 100)
+    types = estimate_canonical(a, rho, 100).distribution
+    assert len(dist) == len(types) == math.comb(103, 3)
+    assert total_variation(dist, types) <= 1e-12
 
 
 def test_total_variation_basics():

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -144,6 +145,24 @@ def test_povm_stack_meets_the_memory_rule_before_it_is_allocated(monkeypatch):
         jsonio.povm_from_json({"dim": 4, "outcomes": [eye, eye]})
 
 
+def test_operator_meets_the_row_count_and_memory_rule_before_it_is_allocated(monkeypatch):
+    # {"dim": 100000, "re": []} names a 149 GiB matrix; asked of numpy, it
+    # would end the CLI with a MemoryError traceback
+    monkeypatch.delenv("OBSAVG_DIM_CAP", raising=False)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError) as err:
+            jsonio.matrix_from_json({"dim": 100000, "re": []})
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == "operator: 're' must be a 100000x100000 number grid"
+    monkeypatch.setenv("OBSAVG_DIM_CAP", "4")  # one 4 x 4 complex matrix
+    assert jsonio.matrix_from_json({"dim": 4, "re": np.eye(4).tolist()}).shape == (4, 4)
+    with pytest.raises(DimensionCapError):
+        jsonio.matrix_from_json({"dim": 5, "re": [[]] * 5})
+
+
 def test_povm_json_rejects_malformed():
     with pytest.raises(FormatError):
         jsonio.povm_from_json({"dim": 2, "outcomes": []})
@@ -164,6 +183,80 @@ def test_distribution_csv_layout():
     assert lines[0] == "value,probability"
     assert lines[1] == "1,0.25"
     assert lines[2] == "-1,0.75"
+
+
+# floats whose text is easy to get wrong: a signed zero, the smallest
+# subnormal and normal, the largest magnitude, and whole numbers ("3", "1e+16")
+LIST_FLOATS = [-0.0, 5e-324, 2.2250738585072014e-308, 1e308, 0.1, 3.0, 1e16]
+
+
+def _per_item_list(items) -> str:
+    """The JSON text of a flat list, format_float on each float: the oracle of the one-format path."""
+    parts = []
+    for v in items:
+        if isinstance(v, (bool, np.bool_)):
+            parts.append("true" if v else "false")
+        elif isinstance(v, (int, np.integer)):
+            parts.append(str(int(v)))
+        else:
+            parts.append(jsonio.format_float(v))
+    return "[" + ", ".join(parts) + "]"
+
+
+def _per_row_csv(values, probabilities) -> str:
+    """The distribution CSV, format_float on each cell: the oracle of the one-format path."""
+    rows = [f"{jsonio.format_float(v)},{jsonio.format_float(p)}"
+            for v, p in zip(values, probabilities)]
+    return "\n".join(["value,probability"] + rows)
+
+
+@pytest.mark.parametrize("items", [
+    [],
+    LIST_FLOATS,
+    [-x for x in LIST_FLOATS] * 3,
+    np.random.default_rng(83).standard_normal(500).tolist(),
+    LIST_FLOATS + [7],  # ints, bools and numpy scalars take the per-item path
+    [True] + LIST_FLOATS,
+    LIST_FLOATS + [np.float64(0.1)],
+    [np.float64(x) for x in LIST_FLOATS],
+], ids=["empty", "edges", "negated", "normals", "with-int", "with-bool", "with-numpy",
+        "numpy"])
+def test_float_list_text_matches_the_per_item_path(items):
+    assert jsonio.dumps(items) == _per_item_list(items)
+    assert jsonio.dumps({"v": items, "w": 1}) == '{"v": ' + _per_item_list(items) + ', "w": 1}'
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("at", [0, 4, 7])
+def test_non_finite_float_in_a_list_raises_the_per_item_message(bad, at):
+    items = list(LIST_FLOATS)
+    items.insert(at, bad)
+    with pytest.raises(FormatError) as err:
+        jsonio.dumps({"v": items})
+    assert str(err.value) == f"cannot serialize non-finite float {bad!r}"
+
+
+def test_distribution_csv_matches_the_per_row_path():
+    rng = np.random.default_rng(84)
+    probs = rng.random(len(LIST_FLOATS))
+    dists = [OutcomeDistribution(LIST_FLOATS, probs / probs.sum()),
+             OutcomeDistribution(rng.standard_normal(300), np.full(300, 1 / 300)),
+             OutcomeDistribution([0.0], [1.0])]
+    for dist in dists:
+        assert jsonio.distribution_csv(dist) == _per_row_csv(dist.values, dist.probabilities)
+
+
+@pytest.mark.parametrize("values,probabilities,first", [
+    ([0.5, float("nan")], [0.5, 0.5], float("nan")),
+    ([0.5, float("inf")], [float("-inf"), 0.5], float("-inf")),  # rows are read value first
+    ([0.5, 1.0], [0.5, float("inf")], float("inf")),
+])
+def test_distribution_csv_refuses_non_finite_cells(values, probabilities, first):
+    # OutcomeDistribution refuses these itself; distribution_csv checks on its own
+    dist = SimpleNamespace(values=np.array(values), probabilities=np.array(probabilities))
+    with pytest.raises(FormatError) as err:
+        jsonio.distribution_csv(dist)
+    assert str(err.value) == f"cannot serialize non-finite float {first!r}"
 
 
 def test_rows_csv_layout():
