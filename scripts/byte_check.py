@@ -1,34 +1,40 @@
-"""Run a fixed list of `obsavg` argv in two checkouts and compare their bytes.
+"""Replay a fixed list of `obsavg` argv in-process and check their bytes against a table.
 
-    python3 scripts/byte_check.py --parent DIR
+    python3 scripts/byte_check.py [--write]
 
-Each side ("parent" the checkout DIR, "change" this one) gets its own work
-directory with the same input files, written with numpy and the standard
-library from fixed seeds: three single-copy states, diagonal canonical
-POVMs of pauli-z on 3 copies and spin1-z on 2, the first with its values
-shifted (biased), a random dense POVM on two qubits, an incomplete POVM and
-four malformed POVM files (a non-numeric value, a short 're' row, no
-'outcomes', and the literal 1e400). Every argv runs as `python -m
-obsavg.cli ARGV` with that side's `src` as PYTHONPATH and the work
-directory as the current directory. The sha256 of stdout, of stderr, the
-exit code and the sha256 of every --out and --csv file are compared.
-Prints one JSON record and exits 1 if any argv differs.
+Every argv runs through `obsavg.cli.main` of this checkout in one temporary
+work directory (the current directory while it runs), with the same input
+files, written with numpy and the standard library from fixed seeds: three
+single-copy states, diagonal canonical POVMs of pauli-z on 3 copies and
+spin1-z on 2, the first with its values shifted (biased), a random dense POVM
+on two qubits, an incomplete POVM and four malformed POVM files (a
+non-numeric value, a short 're' row, no 'outcomes', and the literal 1e400).
+The sha256 of stdout, of stderr, the exit code and the sha256 of every --out
+and --csv file are compared with the committed table tests/byte_table.json,
+which also names the numpy version and the machine it was written on. COLUMNS
+is 80 during the replay, the width argparse wraps its usage errors to when
+stderr is not a terminal. Prints one JSON record and exits 1 if any argv
+differs; with --write it rewrites the table instead.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import os
-import subprocess
+import platform
 import sys
 import tempfile
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 
-import _pairs
+ROOT = Path(__file__).resolve().parents[1]
+TABLE = ROOT / "tests" / "byte_table.json"
 
 
 def _adversary(observable: str, copies: int, *flags: str, trials: int = 3) -> list[str]:
@@ -174,35 +180,59 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_side(tree: Path, work: Path) -> list[dict]:
-    """Hashes of every argv's stdout, stderr, exit code and files, run on tree in work."""
+def replay(work: Path) -> list[dict]:
+    """Hashes of every argv's stdout, stderr, exit code and files, run in-process in work."""
+    from obsavg.cli import main
+
     write_inputs(work)
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    cwd = os.getcwd()
+    os.chdir(work)
     out = []
-    for k, argv in enumerate(ARGV):
-        argv = _with_files(k, argv)
-        done = subprocess.run([sys.executable, "-m", "obsavg.cli", *argv], cwd=work, env=env,
-                              capture_output=True)
-        files = {name: _sha((work / name).read_bytes()) if (work / name).exists() else None
-                 for flag, name in zip(argv, argv[1:]) if flag in ("--out", "--csv")}
-        out.append({"argv": argv, "exit": done.returncode, "stdout": _sha(done.stdout),
-                    "stderr": _sha(done.stderr), "files": files})
+    try:
+        with patch.dict(os.environ, COLUMNS="80"):
+            for k, argv in enumerate(ARGV):
+                argv = _with_files(k, argv)
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with redirect_stdout(stdout), redirect_stderr(stderr):
+                    code = main(argv)
+                files = {name: _sha((work / name).read_bytes()) if (work / name).exists()
+                         else None for flag, name in zip(argv, argv[1:])
+                         if flag in ("--out", "--csv")}
+                out.append({"argv": argv, "exit": code,
+                            "stdout": _sha(stdout.getvalue().encode()),
+                            "stderr": _sha(stderr.getvalue().encode()), "files": files})
+    finally:
+        os.chdir(cwd)
     return out
+
+
+def machine() -> str:
+    return f"{platform.machine()}, {os.cpu_count()} CPUs, Python {platform.python_version()}"
+
+
+def differing(runs: list[dict], table: list[dict]) -> list[list[str]]:
+    """The argv whose run differs from its table row, or has none."""
+    rows = {tuple(row["argv"]): row for row in table}
+    return [run["argv"] for run in runs if rows.get(tuple(run["argv"])) != run]
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--write", action="store_true", help="rewrite the table from this run")
     args = parser.parse_args()
-    runs = {}
-    for side, tree in _pairs.sides(args.parent).items():
-        with tempfile.TemporaryDirectory() as work:
-            runs[side] = run_side(tree, Path(work))
-    differ = [change["argv"] for parent, change in zip(runs["parent"], runs["change"])
-              if parent != change]
-    exits = Counter(run["exit"] for run in runs["change"])
-    print(json.dumps({"argv": len(ARGV), "identical": len(ARGV) - len(differ),
-                      "differ": differ, "exit_codes": exits, "machine": _pairs.machine()}))
+    sys.path.insert(0, str(ROOT / "src"))
+    with tempfile.TemporaryDirectory() as work:
+        runs = replay(Path(work))
+    if args.write:
+        TABLE.write_text(json.dumps({"numpy": np.__version__, "machine": machine(),
+                                     "runs": runs}, indent=1) + "\n", encoding="utf-8")
+        return
+    table = json.loads(TABLE.read_text(encoding="utf-8"))
+    differ = differing(runs, table["runs"])
+    print(json.dumps({"argv": len(ARGV), "identical": len(ARGV) - len(differ), "differ": differ,
+                      "exit_codes": Counter(run["exit"] for run in runs),
+                      "table": {"numpy": table["numpy"], "machine": table["machine"]},
+                      "here": {"numpy": np.__version__, "machine": machine()}}))
     sys.exit(1 if differ else 0)
 
 

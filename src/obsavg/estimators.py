@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, ObsavgError
 from .linops import (
     DensityMatrix,
     Observable,
@@ -406,6 +406,8 @@ def estimate_canonical(a, rho, n_copies: int, shots: int = 0,
     """
     if n_copies < 1:
         raise DimensionMismatchError(f"n_copies must be >= 1, got {n_copies}")
+    if shots < 0:
+        raise ObsavgError(f"shots must be >= 0, got {shots}", code="BAD_COUNT")
     obs = as_observable(a)
     state = as_state(rho)
     p = np.clip(_spectral_probabilities(obs, state), 0.0, None)
@@ -443,7 +445,7 @@ def simulate_repeated(a, rho, n_copies: int, shots: int, seed: int | None = 0,
     spectral outcomes, drawn from the exact aggregate distribution.
     """
     if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+        raise ObsavgError(f"shots must be >= 1, got {shots}", code="BAD_COUNT")
     obs = as_observable(a)
     state = as_state(rho)
     dist = repeated_measurement_distribution(obs, state, n_copies, merge_tol=merge_tol)

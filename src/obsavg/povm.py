@@ -11,11 +11,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, PovmValidationError, StateValidationError
+from .errors import (
+    DimensionMismatchError,
+    ObsavgError,
+    PovmValidationError,
+    StateValidationError,
+)
 from .linops import (
     DEFAULT_TOL,
     as_matrix,
     as_state,
+    check_memory_cap,
     expect,
     hermitian_defect,
 )
@@ -24,6 +30,9 @@ from .symspace import CopySpace, copy_average
 # probabilities this far below zero are rounding noise and get clamped
 NEG_PROB_TOL = 1e-12
 UNBIASED_TOL = 1e-8
+# D x D temporaries random_povm holds beside its element stack and Povm's
+# isfinite mask (tracemalloc: at most 4.6, at D=16)
+_RANDOM_POVM_MATRICES = 5
 
 
 @dataclass
@@ -287,7 +296,7 @@ class Povm:
     def sample(self, state, shots: int, seed: int | None = None) -> np.ndarray:
         """Multinomial outcome counts; deterministic for a fixed seed."""
         if shots < 0:
-            raise ValueError(f"shots must be >= 0, got {shots}")
+            raise ObsavgError(f"shots must be >= 0, got {shots}", code="BAD_COUNT")
         if shots == 0:
             return np.zeros(self.n_outcomes, dtype=np.int64)
         return self.probabilities(state).sample(shots, seed)
@@ -307,18 +316,30 @@ def moment_inequality_floor(p: Povm) -> float:
 
 def random_povm(space: CopySpace, n_outcomes: int, rng: np.random.Generator,
                 values: Sequence[float] | None = None) -> Povm:
-    """Random POVM from Wishart factors G_m, normalized by the inverse-sqrt sum."""
+    """Random POVM from Wishart factors G_m, normalized by the inverse-sqrt sum.
+
+    Raises
+    ------
+    DimensionCapError
+        Before the first draw, if the element stack (16 bytes an entry, and 1
+        more for Povm's isfinite mask) plus five D x D temporaries exceed
+        check_memory_cap's bound.
+    """
     if n_outcomes < 1:
-        raise ValueError(f"n_outcomes must be >= 1, got {n_outcomes}")
+        raise ObsavgError(f"n_outcomes must be >= 1, got {n_outcomes}", code="BAD_COUNT")
     dim = space.total_dim
-    blocks = []
-    for _ in range(n_outcomes):
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        blocks.append(g @ g.conj().T)
-    total = np.sum(blocks, axis=0)
-    w, v = np.linalg.eigh(total)
+    check_memory_cap(dim * dim * (17 * n_outcomes + 16 * _RANDOM_POVM_MATRICES),
+                     f"a random POVM of {n_outcomes} elements of dim {dim}",
+                     dim=dim, n_outcomes=n_outcomes)
+    elems = np.empty((n_outcomes, dim, dim), dtype=np.complex128)
+    for g in elems:  # each factor drawn into its own slot, so no draw outlives its product
+        g[...] = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        g[...] = g @ g.conj().T
+    w, v = np.linalg.eigh(elems.sum(axis=0))
     inv_sqrt = (v * (1.0 / np.sqrt(w))) @ v.conj().T
-    elems = np.stack([inv_sqrt @ b @ inv_sqrt for b in blocks])
+    for e in elems:
+        e[...] = inv_sqrt @ e @ inv_sqrt
+    elems.setflags(write=False)
     if values is None:
         values = np.linspace(-1.0, 1.0, n_outcomes)
     return Povm(values, elems, space)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from dense_oracle import sequential_repeated_distribution
 
 from obsavg.adversary import project_unbiased_povm
-from obsavg.errors import DimensionCapError, DimensionMismatchError
+from obsavg.errors import DimensionCapError, DimensionMismatchError, ObsavgError
 from obsavg.estimators import (
     TYPE_WORDS,
     EstimationReport,
@@ -105,14 +105,14 @@ def test_canonical_povm_values_within_spectrum():
 
 
 @st.composite
-def canonical_instances(draw):
+def canonical_instances(draw, max_d: int = 3):
     """(observable, state, n): generic or degenerate spectra, mixed or pure states.
 
     Spectra: generic, all equal (identity-d), repeated values, or equally
     spaced (pauli-z, spin1-z). An unrotated observable with an eigenstate
     gives single-copy probabilities that are exactly 0.
     """
-    d = draw(st.integers(1, 3))
+    d = draw(st.integers(1, max_d))
     n = draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     lam = _spectrum(draw(SPECTRA), d, rng)
@@ -190,6 +190,33 @@ def test_estimate_canonical_builds_nothing_on_the_copy_space():
         tracemalloc.stop()
     assert len(report.distribution) == 28
     assert peak < 5 * 2**20
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(canonical_instances(max_d=4), st.integers(0, 2**32 - 1), st.floats(0.25, 4.0),
+       st.booleans(), st.floats(-3.0, 3.0))
+def test_canonical_law_is_unitarily_invariant_and_affinely_covariant(instance, seed, scale,
+                                                                     negate, beta):
+    """(UAU^dagger, U rho U^dagger) has A's canonical law on rho; alpha A + beta maps its values."""
+    a, rho, n = instance
+    d = a.shape[0]
+    law = estimate_canonical(a, rho, n).distribution
+    peak = max(1.0, float(np.abs(law.values).max()))
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    turned = u @ rho @ u.conj().T
+    rotated = estimate_canonical(u @ a @ u.conj().T, (turned + turned.conj().T) / 2.0,
+                                 n).distribution
+    assert len(rotated) == len(law)
+    assert np.abs(rotated.values - law.values).max() <= 1e-12 * peak
+    assert np.abs(rotated.probabilities - law.probabilities).max() <= 1e-12
+    alpha = -scale if negate else scale
+    mapped = estimate_canonical(alpha * a + beta * np.eye(d), rho, n).distribution
+    order = slice(None, None, -1) if negate else slice(None)
+    assert len(mapped) == len(law)
+    assert (np.abs(mapped.values - (alpha * law.values + beta)[order]).max()
+            <= 1e-12 * (scale * peak + abs(beta)))
+    assert np.abs(mapped.probabilities - law.probabilities[order]).max() <= 1e-12
 
 
 def _basis_cases():
@@ -555,8 +582,15 @@ def test_simulate_repeated_deterministic():
     r1 = simulate_repeated(Z, PLUS, 2, shots=500, seed=9)
     r2 = simulate_repeated(Z, PLUS, 2, shots=500, seed=9)
     assert r1.to_dict() == r2.to_dict()
-    with pytest.raises(ValueError):
+    with pytest.raises(ObsavgError) as err:
         simulate_repeated(Z, PLUS, 2, shots=0)
+    assert err.value.code == "BAD_COUNT"
+
+
+def test_estimate_canonical_refuses_negative_shots():
+    with pytest.raises(ObsavgError) as err:
+        estimate_canonical(Z, PLUS, 2, shots=-5)
+    assert err.value.code == "BAD_COUNT"
 
 
 def test_estimation_report_key_order_is_stable():

@@ -1,8 +1,23 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from obsavg.errors import DimensionMismatchError, PovmValidationError, StateValidationError
-from obsavg.linops import DensityMatrix, expect, pure_state, random_density, random_hermitian
+from obsavg.errors import (
+    DimensionCapError,
+    DimensionMismatchError,
+    ObsavgError,
+    PovmValidationError,
+    StateValidationError,
+)
+from obsavg.linops import (
+    DensityMatrix,
+    expect,
+    memory_cap_bytes,
+    pure_state,
+    random_density,
+    random_hermitian,
+)
 from obsavg.povm import (
     OutcomeDistribution,
     Povm,
@@ -166,8 +181,9 @@ def test_sample_deterministic_and_consistent():
     assert np.array_equal(c1, c2)
     assert c1.sum() == 1000
     assert p.sample(PLUS, 0, seed=5).sum() == 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ObsavgError) as err:
         p.sample(PLUS, -1)
+    assert err.value.code == "BAD_COUNT"
 
 
 def test_sample_concentrates_on_certain_outcome():
@@ -215,6 +231,34 @@ def test_random_povm_is_valid():
     report = p.validate()
     assert report.ok
     assert report.completeness_residual < 1e-12
+    with pytest.raises(ObsavgError) as err:
+        random_povm(CopySpace(3, 1), 0, rng)
+    assert err.value.code == "BAD_COUNT"
+
+
+def test_random_povm_meets_the_memory_rule_before_it_draws(monkeypatch):
+    monkeypatch.setenv("OBSAVG_DIM_CAP", "64")
+    rng = np.random.default_rng(48)
+    with pytest.raises(DimensionCapError):
+        random_povm(CopySpace(2, 6), 50, rng)
+    assert rng.standard_normal() == np.random.default_rng(48).standard_normal()
+    # the largest stack accepted at D=16 peaks below one cap-sized matrix
+    space = CopySpace(2, 4)
+    accepted = 1
+    while True:
+        try:
+            random_povm(space, accepted + 1, rng)
+        except DimensionCapError:
+            break
+        accepted += 1
+    assert accepted >= 8
+    tracemalloc.start()
+    try:
+        random_povm(space, accepted, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < memory_cap_bytes()
 
 
 def test_outcome_distribution_validation():
