@@ -11,9 +11,9 @@ on two qubits, an incomplete POVM and four malformed POVM files (a
 non-numeric value, a short 're' row, no 'outcomes', and the literal 1e400).
 The sha256 of stdout, of stderr, the exit code and the sha256 of every --out
 and --csv file are compared with the committed table tests/byte_table.json,
-which also names the numpy version and the machine it was written on. COLUMNS
-is 80 during the replay, the width argparse wraps its usage errors to when
-stderr is not a terminal. Prints one JSON record and exits 1 if any argv
+which also names the numpy version and the machine it was written on. Usage
+errors wrap at obsavg's fixed help width whatever COLUMNS says, so the replay
+leaves the environment alone. Prints one JSON record and exits 1 if any argv
 differs; with --write it rewrites the table instead.
 """
 from __future__ import annotations
@@ -29,7 +29,6 @@ import tempfile
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
-from unittest.mock import patch
 
 import numpy as np
 
@@ -189,18 +188,17 @@ def replay(work: Path) -> list[dict]:
     os.chdir(work)
     out = []
     try:
-        with patch.dict(os.environ, COLUMNS="80"):
-            for k, argv in enumerate(ARGV):
-                argv = _with_files(k, argv)
-                stdout, stderr = io.StringIO(), io.StringIO()
-                with redirect_stdout(stdout), redirect_stderr(stderr):
-                    code = main(argv)
-                files = {name: _sha((work / name).read_bytes()) if (work / name).exists()
-                         else None for flag, name in zip(argv, argv[1:])
-                         if flag in ("--out", "--csv")}
-                out.append({"argv": argv, "exit": code,
-                            "stdout": _sha(stdout.getvalue().encode()),
-                            "stderr": _sha(stderr.getvalue().encode()), "files": files})
+        for k, argv in enumerate(ARGV):
+            argv = _with_files(k, argv)
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with redirect_stdout(stdout), redirect_stderr(stderr):
+                code = main(argv)
+            files = {name: _sha((work / name).read_bytes()) if (work / name).exists()
+                     else None for flag, name in zip(argv, argv[1:])
+                     if flag in ("--out", "--csv")}
+            out.append({"argv": argv, "exit": code,
+                        "stdout": _sha(stdout.getvalue().encode()),
+                        "stderr": _sha(stderr.getvalue().encode()), "files": files})
     finally:
         os.chdir(cwd)
     return out

@@ -1,12 +1,13 @@
 """One fixed ladder of obsavg CLI jobs, timed end to end and layer by layer.
 
-    OPENBLAS_NUM_THREADS=1 python3 scripts/ladder.py [--tree DIR] > ladder.jsonl
+    OPENBLAS_NUM_THREADS=1 python3 scripts/ladder.py [--tree DIR] [--job KIND] > ladder.jsonl
     OPENBLAS_NUM_THREADS=1 python3 scripts/ladder.py --parent DIR [--workload W] \
         [--seeds S ...] > BENCH.json
 
 The first form runs every instance's argv in-process through `obsavg.cli.main`
 of the checkout DIR (default: this one), under obsbench/tracer.py of this
-checkout, and prints one JSON line per instance:
+checkout, and prints one JSON line per instance of every job kind, or of
+the one `--job` names:
 - `twirl` of a seeded random operator file, d=2 at n = 5..9 and d=3 at
   n = 3..6, with the sizes of the input and output files;
 - `adversary --trials 1 --grid 8 --tol 1e-10` on pauli-x at n = 4..9 and
@@ -26,7 +27,10 @@ is the tracemalloc peak of one extra run made first, untraced and untimed,
 which also fills the caches the timed runs find.
 
 The second form writes one JSON record: that ladder for DIR (the parent) and
-for this checkout (the change), each from a `--tree` subprocess; obsbench run
+for this checkout (the change), from one `--tree --job` subprocess per side
+and job kind, the kinds in turn and the side that runs first alternating
+(parent first for twirl and simulate, change first for adversary), so a
+drift of the machine falls on both sides; obsbench run
 pairs (`obsbench/run.py --workload W --seed S --seconds 30 --trace 0` in each
 checkout, alternating which side runs first), one per `--seeds` value on the
 claimed `--workload` and one per each of the first three seeds on every other
@@ -173,9 +177,12 @@ def _run_json(cmd: list[str], cwd: Path) -> dict:
 
 def record(parent: Path, workload: str | None, seeds: list[int]) -> dict:
     trees = {"parent": parent.resolve(), "change": ROOT}
-    ladders = {side: [json.loads(line) for line in subprocess.run(
-        [sys.executable, __file__, "--tree", str(tree)], capture_output=True, text=True,
-        check=True).stdout.splitlines()] for side, tree in trees.items()}
+    ladders = {"parent": [], "change": []}
+    for k, job in enumerate(JOBS):
+        for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+            ladders[side] += [json.loads(line) for line in subprocess.run(
+                [sys.executable, __file__, "--tree", str(trees[side]), "--job", job],
+                capture_output=True, text=True, check=True).stdout.splitlines()]
     jobs = [(w, seed) for w in WORKLOADS for seed in (seeds if w == workload else seeds[:3])]
     pairs = []
     for k, (w, seed) in enumerate(jobs):
@@ -195,6 +202,7 @@ def record(parent: Path, workload: str | None, seeds: list[int]) -> dict:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tree", type=Path, default=ROOT)
+    parser.add_argument("--job", choices=list(JOBS), help="run this job kind only")
     parser.add_argument("--parent", type=Path)
     parser.add_argument("--workload", choices=WORKLOADS,
                         help="the workload a gain is claimed on: it gets a pair per seed")
@@ -205,8 +213,8 @@ def main() -> None:
         return
     cli_main = load_cli(args.tree.resolve())
     with tempfile.TemporaryDirectory() as work:
-        for jobs in JOBS.values():
-            for fields, runs in jobs(Path(work), REPEATS, SEEDS):
+        for kind in [args.job] if args.job else JOBS:
+            for fields, runs in JOBS[kind](Path(work), REPEATS, SEEDS):
                 print(json.dumps(measure(cli_main, fields, runs)), flush=True)
 
 

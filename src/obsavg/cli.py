@@ -148,7 +148,7 @@ def _grid_spec(text: str):
 
 
 def _emit(report: dict, out: str | None) -> None:
-    jsonio.write_text(jsonio.dumps(report), out)
+    jsonio.write_text(report, out)
 
 
 def _cmd_theta(opt: dict) -> int:
@@ -336,17 +336,23 @@ _HANDLERS = {
 }
 
 
+# argparse sizes help and usage text from COLUMNS or the terminal; a fixed width,
+# the one it takes under COLUMNS=80, keeps the bytes of usage errors the same everywhere
+_FORMATTER = functools.partial(argparse.HelpFormatter, width=78)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process and shared by every main() call."""
     parser = argparse.ArgumentParser(
         prog="obsavg",
         description="Ensemble-average estimation on identical copies",
+        formatter_class=_FORMATTER,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, help_text):
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, formatter_class=_FORMATTER)
         p.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
         return p
 

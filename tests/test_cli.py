@@ -390,6 +390,23 @@ def test_usage_errors_exit_2(tmp_path, plus_state_file):
                  plus_state_file, "--copies", "2", "--shots", "0"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["adversary", "--observable", "pauli-z", "--copies", "2", "--trials", "1", "--grid=1"],
+    ["twirl", "--input", "op.json"],
+    ["no-such-command"],
+], ids=["subcommand-value", "subcommand-missing", "command"])
+def test_usage_errors_do_not_depend_on_the_terminal_width(argv, capsys, monkeypatch):
+    seen = []
+    for columns in ("80", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        assert main(argv) == 2
+        seen.append(capsys.readouterr())
+    assert seen[0] == seen[1]
+    # the usage, every line but the error's, wraps as at COLUMNS=80, not on one line
+    *usage, _ = seen[0].err.splitlines()
+    assert len(usage) > 1
+
+
 def test_semantic_errors_exit_1(write_operator, plus_state_file, capsys):
     # non-Hermitian observable file
     bad_op = write_operator(np.array([[0.0, 1.0], [0.0, 0.0]]), "nonherm.json")

@@ -4,16 +4,16 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from json_oracle import reference_dump_operator, reference_dump_povm
+from json_oracle import reference_dump_operator, reference_dump_povm, reference_dumps
 
-from obsavg import jsonio
+from obsavg import cli, jsonio
 from obsavg.errors import DimensionCapError, FormatError
 from obsavg.estimators import canonical_povm
 from obsavg.linops import random_hermitian
 from obsavg.povm import OutcomeDistribution, Povm, random_povm
-from obsavg.symspace import CopySpace
+from obsavg.symspace import CopySpace, twirl
 
 
 def test_format_float_lossless():
@@ -360,6 +360,54 @@ def test_non_finite_entries_still_raise(dim, seed, bad, part, layout):
     assert str(new.value) == str(ref.value) == f"cannot serialize non-finite float {bad!r}"
 
 
+# how many distinct entries a pooled grid has: one, a few, at most the share of
+# entries that takes the distinct-value path, one more than that, or all
+POOL_SIZES = ["one", "few", "at-share", "above-share", "all"]
+
+
+def _pooled_grid(dim, size, seed):
+    """A (dim, dim) grid that holds each value of a pool at least once, in random places.
+
+    The pool is the edge floats (0.0 and -0.0 first) and then wide normals, so a
+    permutation-invariant operator's repeats are mimicked at every pool size."""
+    entries = dim * dim
+    at_share = max(1, int(jsonio._DISTINCT_SHARE * entries))
+    k = {"one": 1, "few": min(3, entries), "at-share": at_share,
+         "above-share": min(at_share + 1, entries), "all": entries}[size]
+    rng = np.random.default_rng(seed)
+    wide = rng.standard_normal(k) * 10.0 ** rng.integers(-300, 300, k)
+    pool = np.concatenate([EDGE_FLOATS, wide])[:k]
+    return pool[rng.permutation(np.resize(np.arange(k), entries))].reshape(dim, dim)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(dim=st.integers(1, 24), size=st.sampled_from(POOL_SIZES),
+       seed=st.integers(0, 2**32 - 1), layout=st.sampled_from(LAYOUTS),
+       block=st.sampled_from([None, 1, 5, 64]))
+@example(dim=1, size="one", seed=0, layout="complex", block=None)
+@example(dim=1, size="all", seed=1, layout="strided", block=None)
+def test_pooled_grids_match_the_per_element_reference(dim, size, seed, layout, block):
+    m = _laid_out(_pooled_grid(dim, size, seed), _pooled_grid(dim, size, seed + 1), layout)
+    with pytest.MonkeyPatch.context() as patch:
+        if block is not None:  # rows in blocks of block // dim, at least one
+            patch.setattr(jsonio, "_BLOCK_ENTRIES", block)
+        assert _mismatch(jsonio.dump_operator(m), reference_dump_operator(m)) is None
+        assert _mismatch(jsonio.dumps(m.real), reference_dumps(m.real.tolist())) is None
+
+
+def test_dump_povm_of_pooled_grids_matches_the_per_element_reference():
+    elements = [_laid_out(_pooled_grid(7, size, k), _pooled_grid(7, size, k + 10), "complex")
+                for k, size in enumerate(POOL_SIZES)]
+    values = EDGE_FLOATS[:len(elements)]
+    text = jsonio.dump_povm(Povm(values, np.stack(elements)))
+    assert _mismatch(text, reference_dump_povm(values, elements)) is None
+
+
+@pytest.mark.parametrize("shape, text", [((2, 0), "[[], []]"), ((0, 3), "[]")])
+def test_grid_without_entries(shape, text):
+    assert jsonio.dumps(np.zeros(shape)) == text
+
+
 # (JSON text of one entry, the message after the "[i][j]" location)
 BAD_ENTRIES = [
     ("true", "is not a number"),
@@ -441,3 +489,55 @@ def test_write_text_adds_one_newline(tmp_path, capsys):
     assert path.read_bytes() == b'{"a": 1}\n'
     jsonio.write_text('{"a": 1}')
     assert capsys.readouterr().out == '{"a": 1}\n'
+
+
+def test_write_text_writes_an_object_as_its_dumps_text(tmp_path, capsys):
+    report = {"a": 1, "re": np.array([[0.5, -0.0], [-0.0, 0.5]]), "ok": True}
+    text = '{"a": 1, "re": [[0.5, -0], [-0, 0.5]], "ok": true}'
+    jsonio.write_text(report, tmp_path / "out.json")
+    assert (tmp_path / "out.json").read_bytes() == text.encode() + b"\n"
+    jsonio.write_text(report)
+    assert capsys.readouterr().out == text + "\n"
+
+
+def _report_with_a_nan():
+    return {"dim": 2, "re": np.array([[0.0, 1.0], [np.nan, 0.0]]), "im": [0.5, float("nan")]}
+
+
+@pytest.mark.parametrize("existing", [None, b"kept\n"], ids=["new-file", "existing-file"])
+def test_write_text_refuses_a_nan_before_it_opens_the_file(tmp_path, existing):
+    path = tmp_path / "out.json"
+    if existing is not None:
+        path.write_bytes(existing)
+    with pytest.raises(FormatError, match="non-finite float nan"):
+        jsonio.write_text(_report_with_a_nan(), path)
+    if existing is None:
+        assert not path.exists()
+    else:
+        assert path.read_bytes() == existing
+
+
+def test_write_text_refuses_a_nan_before_it_prints(capsys):
+    with pytest.raises(FormatError, match="non-finite float nan"):
+        jsonio.write_text(_report_with_a_nan())
+    assert capsys.readouterr().out == ""
+
+
+def test_twirl_output_step_holds_its_text_about_once(tmp_path, monkeypatch):
+    # at OBSAVG_DIM_CAP=256, d=2 and n=8 make D the cap; writing the twirled
+    # operator peaked at 5.66 D x D matrices when its row strings were joined
+    monkeypatch.setenv("OBSAVG_DIM_CAP", "256")
+    space = CopySpace(2, 8)
+    dim = space.total_dim
+    rng = np.random.default_rng(87)
+    m = twirl(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)), space)
+    path = tmp_path / "out.json"
+    tracemalloc.start()
+    try:
+        cli._emit(jsonio.matrix_to_json(m), str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    matrix = 16 * dim * dim
+    assert path.read_text(encoding="utf-8") == reference_dump_operator(m) + "\n"
+    assert peak < path.stat().st_size + 0.5 * matrix, (peak / matrix, path.stat().st_size / matrix)
