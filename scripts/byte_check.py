@@ -8,7 +8,8 @@ files, written with numpy and the standard library from fixed seeds: three
 single-copy states, diagonal canonical POVMs of pauli-z on 3 copies and
 spin1-z on 2, the first with its values shifted (biased), a random dense POVM
 on two qubits, an incomplete POVM and four malformed POVM files (a
-non-numeric value, a short 're' row, no 'outcomes', and the literal 1e400).
+non-numeric value, a short 're' row, no 'outcomes', and the literal 1e400),
+and random complex operators of dim 4 and 9 for twirl.
 The sha256 of stdout, of stderr, the exit code and the sha256 of every --out
 and --csv file are compared with the committed table tests/byte_table.json,
 which also names the numpy version and the machine it was written on. Usage
@@ -104,6 +105,10 @@ ARGV = [
       ["bad_value.json", "short_row.json", "no_outcomes.json", "huge_value.json"]],
     ["error", "--povm", "short_row.json", "--observable", "pauli-z", "--state", "plus.json"],
     ["sample", "--povm", "huge_value.json", "--state", "plus.json", "--shots", "10"],
+    # operator grids: theta, and twirls of random operators at d=2 and d=3
+    ["theta", "--observable", "pauli-x", "--copies", "2"],
+    ["twirl", "--input", "op4.json", "--local-dim", "2"],
+    ["twirl", "--input", "op9.json", "--local-dim", "3"],
 ]
 # where the command has them, --out and --csv go to files of their own
 _WRITES = {"adversary": ["--csv"], "sample": ["--csv"], "canonical": ["--csv"],
@@ -126,6 +131,11 @@ def _density(d: int, seed: int) -> np.ndarray:
     rho = g @ g.conj().T
     rho = (rho + rho.conj().T) / 2
     return rho / np.trace(rho).real
+
+
+def _random_operator(dim: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
 
 
 def _povm(values, elements) -> dict:
@@ -166,6 +176,8 @@ def write_inputs(work: Path) -> None:
         "bad_value.json": {"dim": 2, "outcomes": [{"value": "x", "re": [[1, 0], [0, 1]]}]},
         "short_row.json": {"dim": 2, "outcomes": [{"value": 1.0, "re": [[1, 0], [0]]}]},
         "no_outcomes.json": {"dim": 2},
+        "op4.json": _operator(_random_operator(4, 8)),
+        "op9.json": _operator(_random_operator(9, 9)),
     }
     values, elements = _diagonal_canonical([1.0, -1.0], 3)
     files["biased.json"] = _povm(values + 0.2, elements)
