@@ -34,53 +34,36 @@ def _refuse_non_finite(a: np.ndarray) -> None:
         format_float(a[~finite][0])
 
 
-# A grid formats each distinct entry once when at most this share of its entries
-# are distinct, as in a permutation-invariant operator; above it, one '%' per row
-# is faster. On grids of a shuffled value pool the two break even near a share
-# of 0.7 at 64x64, 0.53 at 256x256 and 0.45 at 512x512.
-_DISTINCT_SHARE = 0.4
-# a grid of fewer entries formats per row: the check alone costs about what
-# formatting them takes
-_DISTINCT_MIN_ENTRIES = 64
 # rows are formatted this many entries at a time, so a block's lists and index
 # arrays stay small next to the text (128 KiB index arrays, blocks of 1 << 14,
 # raised the symmetry benchmark's peak RSS by 1.1-1.5 MB)
 _BLOCK_ENTRIES = 1 << 11
 
 
-def _distinct_bits(bits: np.ndarray, most: float) -> np.ndarray | None:
-    """The distinct entries of an int64 array, sorted and flat, or None if there
-    are more than most."""
+def _distinct_bits(bits: np.ndarray) -> np.ndarray:
+    """The distinct entries of an int64 array, sorted and flat."""
     ordered = np.sort(bits, axis=None)
-    new = ordered[1:] != ordered[:-1]
-    if np.count_nonzero(new) + 1 > most:
-        return None
-    return np.concatenate((ordered[:1], ordered[1:][new]))
+    return np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
 
 
 def _format_grid(a: np.ndarray, out: list[str]) -> None:
     """Append a 2-D float64 array with entries to out as JSON text, a piece per row.
 
-    Byte-identical to format_float on every entry of a.tolist(). Distinct
-    entries are told apart by their int64 bit patterns, which keeps 0.0 and
-    -0.0 apart."""
+    Byte-identical to format_float on every entry of a.tolist(). Each distinct
+    entry is formatted once, as a permutation-invariant operator has few of
+    them; entries are told apart by their int64 bit patterns, which keeps 0.0
+    and -0.0 apart."""
     _refuse_non_finite(a)
     bits = a.view(np.int64)
-    distinct = (_distinct_bits(bits, _DISTINCT_SHARE * a.size)
-                if a.size >= _DISTINCT_MIN_ENTRIES else None)
+    distinct = _distinct_bits(bits)
+    values = distinct.view(np.float64).tolist()
+    strings = np.array((", ".join(["%.17g"] * len(values)) % tuple(values)).split(", "),
+                       dtype=object)
     step = max(1, _BLOCK_ENTRIES // a.shape[1])
     rows = []
-    if distinct is None:  # one '%' per row, over Python floats, which format faster
-        row = ", [" + ", ".join(["%.17g"] * a.shape[1]) + "]"
-        for k in range(0, a.shape[0], step):
-            rows += [row % tuple(r) for r in a[k:k + step].tolist()]
-    else:
-        values = distinct.view(np.float64).tolist()
-        strings = np.array((", ".join(["%.17g"] * len(values)) % tuple(values)).split(", "),
-                           dtype=object)
-        for k in range(0, a.shape[0], step):
-            block = strings[np.searchsorted(distinct, bits[k:k + step])].tolist()
-            rows += [", [%s]" % ", ".join(r) for r in block]
+    for k in range(0, a.shape[0], step):
+        block = strings[np.searchsorted(distinct, bits[k:k + step])].tolist()
+        rows += [", [%s]" % ", ".join(r) for r in block]
     rows[0] = "[" + rows[0][2:]  # every row but the first follows a ", "
     out.extend(rows)
     out.append("]")

@@ -360,9 +360,8 @@ def test_non_finite_entries_still_raise(dim, seed, bad, part, layout):
     assert str(new.value) == str(ref.value) == f"cannot serialize non-finite float {bad!r}"
 
 
-# how many distinct entries a pooled grid has: one, a few, at most the share of
-# entries that takes the distinct-value path, one more than that, or all
-POOL_SIZES = ["one", "few", "at-share", "above-share", "all"]
+# how many distinct entries a pooled grid has: one, a few, half, or all
+POOL_SIZES = ["one", "few", "half", "all"]
 
 
 def _pooled_grid(dim, size, seed):
@@ -371,9 +370,8 @@ def _pooled_grid(dim, size, seed):
     The pool is the edge floats (0.0 and -0.0 first) and then wide normals, so a
     permutation-invariant operator's repeats are mimicked at every pool size."""
     entries = dim * dim
-    at_share = max(1, int(jsonio._DISTINCT_SHARE * entries))
-    k = {"one": 1, "few": min(3, entries), "at-share": at_share,
-         "above-share": min(at_share + 1, entries), "all": entries}[size]
+    k = {"one": 1, "few": min(3, entries), "half": max(1, entries // 2),
+         "all": entries}[size]
     rng = np.random.default_rng(seed)
     wide = rng.standard_normal(k) * 10.0 ** rng.integers(-300, 300, k)
     pool = np.concatenate([EDGE_FLOATS, wide])[:k]
