@@ -324,15 +324,13 @@ def repeated_measurement_distribution(a, rho, n_copies: int,
     return OutcomeDistribution(*acc)
 
 
-def total_variation(dist_a: OutcomeDistribution, dist_b: OutcomeDistribution,
-                    value_tol: float | None = None) -> float:
-    """Total variation distance, identifying outcome values within value_tol."""
+def total_variation(dist_a: OutcomeDistribution, dist_b: OutcomeDistribution) -> float:
+    """Total variation distance, identifying outcome values within
+    default_merge_tol of the two supports."""
     all_values = np.concatenate([dist_a.values, dist_b.values])
-    if value_tol is None:
-        value_tol = default_merge_tol(all_values)
     order = np.argsort(all_values, kind="stable")
     labels = np.empty(all_values.size, dtype=np.int64)
-    labels[order] = _cluster_labels(all_values[order], value_tol)
+    labels[order] = _cluster_labels(all_values[order], default_merge_tol(all_values))
     n_clusters = int(labels.max()) + 1
     split = dist_a.values.size
     pa = np.bincount(labels[:split], dist_a.probabilities, minlength=n_clusters)

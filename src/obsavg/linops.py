@@ -87,13 +87,14 @@ def tensor_power(m, n: int) -> np.ndarray:
     return out
 
 
-def eigh(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and orthonormal eigenvectors of a Hermitian matrix."""
+def eigh(m) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and orthonormal eigenvectors of a Hermitian matrix
+    (hermiticity defect at most DEFAULT_TOL)."""
     mat = as_matrix(m)
     defect = hermitian_defect(mat)
-    if defect > tol:
+    if defect > DEFAULT_TOL:
         raise OperatorValidationError(
-            f"matrix is not Hermitian (defect {defect:.3e} > {tol:.1e})",
+            f"matrix is not Hermitian (defect {defect:.3e} > {DEFAULT_TOL:.1e})",
             details={"defect": defect},
         )
     try:
@@ -138,17 +139,15 @@ class Observable:
     Parameters
     ----------
     matrix : array_like
-        Square matrix with max-norm hermiticity defect at most tol.
-    tol : float
-        Absolute bound on the allowed defect, default 1e-9.
+        Square matrix with max-norm hermiticity defect at most DEFAULT_TOL.
     """
 
-    def __init__(self, matrix, tol: float = DEFAULT_TOL):
+    def __init__(self, matrix):
         m = as_matrix(matrix)
         defect = hermitian_defect(m)
-        if defect > tol:
+        if defect > DEFAULT_TOL:
             raise OperatorValidationError(
-                f"observable is not Hermitian (defect {defect:.3e} > {tol:.1e})",
+                f"observable is not Hermitian (defect {defect:.3e} > {DEFAULT_TOL:.1e})",
                 details={"defect": defect},
             )
         # symmetrize away the sub-tolerance defect so eigh sees an exact Hermitian
@@ -203,24 +202,24 @@ class Observable:
 
 
 class DensityMatrix:
-    """A validated density matrix: Hermitian, unit trace, PSD within tolerance."""
+    """A validated density matrix: Hermitian, unit trace, PSD within DEFAULT_TOL."""
 
-    def __init__(self, matrix, tol: float = DEFAULT_TOL):
+    def __init__(self, matrix):
         m = as_matrix(matrix)
         defect = hermitian_defect(m)
-        if defect > tol:
+        if defect > DEFAULT_TOL:
             raise StateValidationError(
                 f"state is not Hermitian (defect {defect:.3e})", details={"defect": defect}
             )
         m = (m + m.conj().T) / 2.0
         tr = np.trace(m).real
-        if abs(tr - 1.0) > tol:
+        if abs(tr - 1.0) > DEFAULT_TOL:
             raise StateValidationError(
-                f"state trace {tr!r} differs from 1 beyond {tol:.1e}",
+                f"state trace {tr!r} differs from 1 beyond {DEFAULT_TOL:.1e}",
                 details={"trace": float(tr)},
             )
         lo = float(np.linalg.eigvalsh(m)[0])
-        if lo < -tol:
+        if lo < -DEFAULT_TOL:
             raise StateValidationError(
                 f"state has negative eigenvalue {lo:.3e}", details={"min_eigenvalue": lo}
             )
@@ -262,18 +261,14 @@ def pure_state(vec) -> DensityMatrix:
     return DensityMatrix(np.outer(v, v.conj()))
 
 
-def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
+def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Hermitian matrix with iid Gaussian real/imag parts, symmetrized."""
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return scale * (g + g.conj().T) / 2.0
+    return (g + g.conj().T) / 2.0
 
 
-def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) -> DensityMatrix:
-    """Trace-normalized Wishart state G G^dagger / Tr, full rank by default."""
-    if rank is None:
-        rank = dim
-    if not 1 <= rank <= dim:
-        raise StateValidationError(f"rank must be in [1, {dim}], got {rank}")
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+def random_density(dim: int, rng: np.random.Generator) -> DensityMatrix:
+    """Trace-normalized full-rank Wishart state G G^dagger / Tr."""
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     w = g @ g.conj().T
     return DensityMatrix(w / np.trace(w).real)

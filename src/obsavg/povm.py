@@ -95,24 +95,22 @@ class OutcomeDistribution:
 
 @dataclass
 class PovmValidation:
-    """Validation report: residuals plus pass flags at the tolerances used."""
+    """Validation report: residuals plus pass flags, each at DEFAULT_TOL."""
 
     hermiticity_defect: float
     min_eigenvalue: float
     completeness_residual: float
-    psd_tol: float
-    completeness_tol: float
 
     @property
     def psd_ok(self) -> bool:
         return (
-            self.hermiticity_defect <= self.psd_tol
-            and self.min_eigenvalue >= -self.psd_tol
+            self.hermiticity_defect <= DEFAULT_TOL
+            and self.min_eigenvalue >= -DEFAULT_TOL
         )
 
     @property
     def completeness_ok(self) -> bool:
-        return self.completeness_residual <= self.completeness_tol
+        return self.completeness_residual <= DEFAULT_TOL
 
     @property
     def ok(self) -> bool:
@@ -126,8 +124,8 @@ class PovmValidation:
             "hermiticity_defect": self.hermiticity_defect,
             "min_eigenvalue": self.min_eigenvalue,
             "completeness_residual": self.completeness_residual,
-            "psd_tol": self.psd_tol,
-            "completeness_tol": self.completeness_tol,
+            "psd_tol": DEFAULT_TOL,
+            "completeness_tol": DEFAULT_TOL,
         }
 
 
@@ -188,8 +186,7 @@ class Povm:
     def n_outcomes(self) -> int:
         return self.elements.shape[0]
 
-    def validate(self, psd_tol: float = DEFAULT_TOL,
-                 completeness_tol: float = DEFAULT_TOL) -> PovmValidation:
+    def validate(self) -> PovmValidation:
         """Check hermiticity and positivity of every element plus completeness."""
         defect = max(hermitian_defect(e) for e in self.elements)
         lowest = np.min(
@@ -202,14 +199,11 @@ class Povm:
             hermiticity_defect=float(defect),
             min_eigenvalue=float(lowest),
             completeness_residual=residual,
-            psd_tol=psd_tol,
-            completeness_tol=completeness_tol,
         )
 
-    def require_valid(self, psd_tol: float = DEFAULT_TOL,
-                      completeness_tol: float = DEFAULT_TOL) -> PovmValidation:
+    def require_valid(self) -> PovmValidation:
         """validate(), raising with a stable code on the first failed check."""
-        report = self.validate(psd_tol, completeness_tol)
+        report = self.validate()
         if not report.psd_ok:
             raise PovmValidationError(
                 f"POVM element fails positivity (min eigenvalue "
@@ -268,9 +262,6 @@ class Povm:
         a = as_matrix(observable)
         target = copy_average(a, space)
         return float(np.abs(self.first_moment() - target).max())
-
-    def is_unbiased(self, observable, tol: float = UNBIASED_TOL) -> bool:
-        return self.unbiasedness_residual(observable) <= tol
 
     def estimation_error(self, observable, state) -> float:
         """Root mean square deviation of the estimate from the true mean.

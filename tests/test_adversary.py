@@ -136,7 +136,7 @@ def test_project_finds_valid_unbiased_povm():
         Z, space, grid, rng=np.random.default_rng(3)
     )
     povm = result.povm
-    assert povm.validate(psd_tol=1e-8, completeness_tol=1e-8).ok
+    assert povm.validate().ok
     assert povm.unbiasedness_residual(Z) <= 1e-8
     assert result.iterations > 0
 
@@ -308,7 +308,8 @@ def _check_block_route_against_dense(a, n: int, grid, seed: int) -> None:
                                  None, 5000, 1e-12)
     for result in (block, dense):
         povm = result.povm
-        assert povm.validate(psd_tol=1e-9, completeness_tol=1e-12).ok
+        report = povm.validate()
+        assert report.ok and report.completeness_residual <= 1e-12
         assert all(is_perm_invariant(e, space, tol=1e-9) for e in povm.elements)
         assert povm.unbiasedness_residual(obs) <= 1e-9
     assert np.abs(block.povm.elements - dense.povm.elements).max() <= 1e-8
@@ -356,7 +357,7 @@ def test_project_is_deterministic_for_a_seeded_rng():
     p1 = project_unbiased_povm(Z, space, grid, rng=np.random.default_rng(11)).povm
     p2 = project_unbiased_povm(Z, space, grid, rng=np.random.default_rng(11)).povm
     assert np.array_equal(p1.elements, p2.elements)
-    assert p1.validate(psd_tol=1e-8, completeness_tol=1e-8).ok
+    assert p1.validate().ok
 
 
 def test_smear_zero_deltas_keeps_distribution():

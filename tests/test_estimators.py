@@ -34,7 +34,7 @@ from obsavg.linops import (
     random_hermitian,
     tensor_power,
 )
-from obsavg.povm import OutcomeDistribution
+from obsavg.povm import UNBIASED_TOL, OutcomeDistribution
 from obsavg.symspace import CopySpace, _digit_counts, copy_average
 
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -93,7 +93,7 @@ def test_canonical_povm_first_moment_is_copy_average():
     assert np.abs(p.first_moment() - copy_average(a, space)).max() < 1e-10
     avg = copy_average(a, space)
     assert np.abs(p.second_moment() - avg @ avg).max() < 1e-10
-    assert p.is_unbiased(a)
+    assert p.unbiasedness_residual(a) <= UNBIASED_TOL
 
 
 def test_canonical_povm_values_within_spectrum():

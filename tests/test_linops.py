@@ -167,13 +167,6 @@ def test_dim_cap_env_override(monkeypatch):
         default_dim_cap()
 
 
-def test_random_density_rank_control():
-    rng = np.random.default_rng(17)
-    rho = random_density(4, rng, rank=1)
-    w = np.linalg.eigvalsh(rho.matrix)
-    assert np.sum(w > 1e-12) == 1
-
-
 @pytest.mark.parametrize("build", [
     lambda d, n: CopySpace(d, n).total_dim,
     lambda d, n: tensor_power(np.eye(d), n).shape[0],
