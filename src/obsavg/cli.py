@@ -78,10 +78,6 @@ def _load_observable(spec: str) -> Observable:
     )
 
 
-def _load_state(path: str) -> DensityMatrix:
-    return DensityMatrix(jsonio.load_operator(path))
-
-
 def _infer_copies(local_dim: int, total_dim: int, requested: int | None) -> int:
     if requested is not None:
         if local_dim**requested != total_dim:
@@ -147,15 +143,11 @@ def _grid_spec(text: str):
     return size
 
 
-def _emit(report: dict, out: str | None) -> None:
-    jsonio.write_text(report, out)
-
-
 def _cmd_theta(opt: dict) -> int:
     obs = _load_observable(opt["observable"])
     space = CopySpace(obs.dim, opt["copies"])
     avg = copy_average(obs.matrix, space)
-    _emit(jsonio.matrix_to_json(avg), opt["out"])
+    jsonio.write_text(jsonio.matrix_to_json(avg), opt["out"])
     return 0
 
 
@@ -164,7 +156,7 @@ def _cmd_twirl(opt: dict) -> int:
     local_dim = opt["local_dim"]
     n = _infer_copies(local_dim, matrix.shape[0], opt["copies"])
     space = CopySpace(local_dim, n)
-    _emit(jsonio.matrix_to_json(twirl(matrix, space)), opt["out"])
+    jsonio.write_text(jsonio.matrix_to_json(twirl(matrix, space)), opt["out"])
     return 0
 
 
@@ -180,13 +172,13 @@ def _cmd_verify_povm(opt: dict) -> int:
         report["n_copies"] = n
         report["unbiasedness_residual"] = residual
         report["unbiased"] = residual <= UNBIASED_TOL
-    _emit(report, opt["out"])
+    jsonio.write_text(report, opt["out"])
     return 0 if report["ok"] else 1
 
 
 def _cmd_error(opt: dict) -> int:
     obs = _load_observable(opt["observable"])
-    state = _load_state(opt["state"])
+    state = DensityMatrix(jsonio.load_operator(opt["state"]))
     raw = jsonio.load_povm(opt["povm"])
     n = _infer_copies(obs.dim, raw.dim, opt["copies"])
     space = CopySpace(obs.dim, n)
@@ -211,13 +203,13 @@ def _cmd_error(opt: dict) -> int:
         "unbiasedness_residual": residual,
         "unbiased": residual <= UNBIASED_TOL,
     }
-    _emit(report, opt["out"])
+    jsonio.write_text(report, opt["out"])
     return 0
 
 
 def _cmd_sample(opt: dict) -> int:
     raw = jsonio.load_povm(opt["povm"])
-    state = _load_state(opt["state"])
+    state = DensityMatrix(jsonio.load_operator(opt["state"]))
     if state.dim != raw.dim:
         n = _infer_copies(state.dim, raw.dim, opt["copies"])
         povm = Povm(raw.values, raw.elements, CopySpace(state.dim, n))
@@ -231,7 +223,7 @@ def _cmd_sample(opt: dict) -> int:
         "values": [float(v) for v in povm.values],
         "counts": [int(c) for c in counts],
     }
-    _emit(report, opt["out"])
+    jsonio.write_text(report, opt["out"])
     if opt["csv"] is not None:
         rows = [
             {"value": float(v), "count": int(c),
@@ -246,7 +238,7 @@ def _cmd_estimate(opt: dict) -> int:
     """canonical and simulate: the two estimation routes share one report shape."""
     route = estimate_canonical if opt["command"] == "canonical" else simulate_repeated
     obs = _load_observable(opt["observable"])
-    state = _load_state(opt["state"])
+    state = DensityMatrix(jsonio.load_operator(opt["state"]))
     report = route(
         obs,
         state,
@@ -255,7 +247,7 @@ def _cmd_estimate(opt: dict) -> int:
         seed=opt["seed"],
         merge_tol=opt["merge_tol"],
     )
-    _emit(report.to_dict(), opt["out"])
+    jsonio.write_text(report.to_dict(), opt["out"])
     if opt["csv"] is not None and report.distribution is not None:
         jsonio.write_text(jsonio.distribution_csv(report.distribution), opt["csv"])
     return 0
@@ -304,7 +296,7 @@ def _cmd_lemma_demo(opt: dict) -> int:
         "moment_rank": rec.rank,
         "coefficient_identity_residual": float(coeff_residual),
     }
-    _emit(report, opt["out"])
+    jsonio.write_text(report, opt["out"])
     return 0
 
 
@@ -317,7 +309,7 @@ def _cmd_adversary(opt: dict) -> int:
     rows, summary = run_trials(obs, space, grid, opt["trials"], seed=opt["seed"],
                                max_iterations=opt["max_iterations"],
                                convergence_tol=opt["tol"])
-    _emit(summary, opt["out"])
+    jsonio.write_text(summary, opt["out"])
     if opt["csv"] is not None:
         jsonio.write_text(jsonio.rows_csv(rows), opt["csv"])
     return 0

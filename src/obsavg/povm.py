@@ -86,12 +86,6 @@ class OutcomeDistribution:
         p = self.probabilities / self.probabilities.sum()
         return np.random.default_rng(seed).multinomial(shots, p).astype(np.int64)
 
-    def sorted_by_value(self) -> "OutcomeDistribution":
-        order = np.argsort(self.values, kind="stable")
-        return OutcomeDistribution(
-            self.values[order], self.probabilities[order], sum_tol=self.sum_tol
-        )
-
 
 @dataclass
 class PovmValidation:

@@ -340,7 +340,7 @@ def test_single_copy_distribution_merges_degenerate_eigenvalues():
 
 
 def test_repeated_distribution_two_copy_z_plus():
-    dist = repeated_measurement_distribution(Z, PLUS, 2).sorted_by_value()
+    dist = repeated_measurement_distribution(Z, PLUS, 2)
     assert np.allclose(dist.values, [-1.0, 0.0, 1.0])
     assert np.allclose(dist.probabilities, [0.25, 0.5, 0.25])
 

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from json_oracle import reference_dump_operator, reference_dump_povm, reference_dumps
 
-from obsavg import cli, jsonio
+from obsavg import jsonio
 from obsavg.errors import DimensionCapError, FormatError
 from obsavg.estimators import canonical_povm
 from obsavg.linops import random_hermitian
@@ -532,7 +532,7 @@ def test_twirl_output_step_holds_its_text_about_once(tmp_path, monkeypatch):
     path = tmp_path / "out.json"
     tracemalloc.start()
     try:
-        cli._emit(jsonio.matrix_to_json(m), str(path))
+        jsonio.write_text(jsonio.matrix_to_json(m), str(path))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

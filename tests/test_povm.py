@@ -275,12 +275,6 @@ def test_outcome_distribution_validation():
         OutcomeDistribution([0.0], [0.5, 0.5])
 
 
-def test_outcome_distribution_sorting():
-    d = OutcomeDistribution([1.0, -1.0, 0.0], [0.2, 0.3, 0.5]).sorted_by_value()
-    assert np.array_equal(d.values, [-1.0, 0.0, 1.0])
-    assert np.array_equal(d.probabilities, [0.3, 0.5, 0.2])
-
-
 def test_first_moment_against_copy_average_for_hand_povm():
     p = z_average_povm_two_copies()
     assert np.abs(p.first_moment() - copy_average(Z, CopySpace(2, 2))).max() < 1e-15
