@@ -25,7 +25,7 @@ from .linops import (
     expect,
     hermitian_defect,
 )
-from .symspace import CopySpace, copy_average
+from .symspace import CopySpace, copy_average, twirl
 
 # probabilities this far below zero are rounding noise and get clamped
 NEG_PROB_TOL = 1e-12
@@ -251,11 +251,17 @@ class Povm:
         return self.space
 
     def unbiasedness_residual(self, observable) -> float:
-        """Max-norm distance between the first moment and the copy average."""
+        """Max-norm distance between the twirled first moment and the copy average.
+
+        The estimate's mean is Tr[T rho^(x)n] with T the first moment, and the
+        states rho^(x)n span the permutation-invariant operators, so unbiased
+        on every state means twirl(T) = copy_average(A); T itself may differ
+        off the invariant subspace, as when one copy is measured alone. The
+        copy average is invariant, so this is max |twirl(T - copy_average(A))|.
+        """
         space = self._require_space()
-        a = as_matrix(observable)
-        target = copy_average(a, space)
-        return float(np.abs(self.first_moment() - target).max())
+        gap = self.first_moment() - copy_average(as_matrix(observable), space)
+        return float(np.abs(twirl(gap, space)).max())
 
     def estimation_error(self, observable, state) -> float:
         """Root mean square deviation of the estimate from the true mean.

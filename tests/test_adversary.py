@@ -27,6 +27,7 @@ from obsavg.estimators import canonical_error, canonical_povm, total_variation
 from obsavg.linops import DensityMatrix, Observable, pure_state, random_density, random_hermitian
 from obsavg.povm import Povm
 from obsavg.symspace import CopySpace, _irrep_dims, _schur_basis, lift, twirl
+from competitors import COMPETITORS
 from dense_oracle import search_product_basis
 from perm_oracle import is_perm_invariant
 
@@ -448,6 +449,20 @@ def test_compare_rejects_biased_povm():
     with pytest.raises(PovmValidationError) as err:
         compare(biased, Z, rho)
     assert err.value.code == "POVM_BIASED"
+
+
+@pytest.mark.parametrize("make, weight_squares", [c[1:] for c in COMPETITORS],
+                         ids=[c[0] for c in COMPETITORS])
+def test_compare_takes_unbiased_competitors_off_the_invariant_subspace(make, weight_squares):
+    p = make()
+    rho = random_density(2, np.random.default_rng(75))
+    variance = Observable(Z).variance(rho)
+    report = compare(p, Z, rho)
+    assert report.unbiasedness_residual <= 1e-15
+    assert report.adversary_error == pytest.approx(np.sqrt(weight_squares * variance), abs=1e-12)
+    assert report.gap == pytest.approx(
+        np.sqrt(weight_squares * variance) - np.sqrt(variance / p.space.n_copies), abs=1e-12)
+    assert report.gap > 0
 
 
 def test_compare_rejects_invalid_povm():

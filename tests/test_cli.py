@@ -12,8 +12,9 @@ import obsavg
 from obsavg import jsonio
 from obsavg.cli import build_parser, builtin_operator, main
 from obsavg.estimators import canonical_povm
-from obsavg.linops import pure_state
+from obsavg.linops import Observable, pure_state, random_density
 from obsavg.symspace import CopySpace, lift
+from competitors import COMPETITORS
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 
@@ -78,6 +79,30 @@ def test_verify_povm_ok(canonical_povm_file, capsys):
     assert report["unbiased"] is True
     assert report["n_copies"] == 2
     assert report["unbiasedness_residual"] <= 1e-12
+
+
+@pytest.mark.parametrize("make, weight_squares", [c[1:] for c in COMPETITORS],
+                         ids=[c[0] for c in COMPETITORS])
+def test_verify_povm_and_error_take_unbiased_competitors_off_the_invariant_subspace(
+        make, weight_squares, tmp_path, write_operator, capsys):
+    p = make()
+    path = tmp_path / "competitor.json"
+    jsonio.write_text(jsonio.dump_povm(p), path)
+    rho = random_density(2, np.random.default_rng(47))
+    state = write_operator(rho.matrix, "rho.json")
+    variance = Observable(Z).variance(rho)
+
+    assert main(["verify-povm", "--povm", str(path), "--observable", "pauli-z"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["unbiased"] is True and report["unbiasedness_residual"] <= 1e-15
+    assert main(["error", "--povm", str(path), "--observable", "pauli-z", "--state", state]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["unbiased"] is True and report["unbiasedness_residual"] <= 1e-15
+    assert report["estimation_error"] == pytest.approx(np.sqrt(weight_squares * variance),
+                                                       abs=1e-12)
+    assert report["canonical_error"] == pytest.approx(np.sqrt(variance / p.space.n_copies),
+                                                      abs=1e-12)
+    assert report["gap"] > 0
 
 
 def test_verify_povm_flags_invalid(tmp_path, capsys):

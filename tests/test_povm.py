@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obsavg.errors import (
     DimensionCapError,
@@ -25,6 +27,7 @@ from obsavg.povm import (
     random_povm,
 )
 from obsavg.symspace import CopySpace, copy_average, twirl
+from competitors import COMPETITORS
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 PLUS = pure_state([1.0, 1.0])
@@ -149,6 +152,32 @@ def test_unbiased_mean_matches_single_copy_expectation():
         assert p.probabilities(rho).mean() == pytest.approx(
             expect(Z, rho.matrix), abs=1e-12
         )
+
+
+@pytest.mark.parametrize("make", [c[1] for c in COMPETITORS], ids=[c[0] for c in COMPETITORS])
+def test_unbiased_competitors_off_the_invariant_subspace(make):
+    p = make()
+    # the first moment itself is not the copy average, only its twirl is
+    assert np.abs(p.first_moment() - copy_average(Z, p.space)).max() >= 0.3
+    assert p.unbiasedness_residual(Z) <= 1e-15
+    rng = np.random.default_rng(45)
+    for _ in range(20):
+        rho = random_density(2, rng)
+        # sum_m r_m p_m(rho^(x)n), from the outcome law: no twirl involved
+        assert p.probabilities(rho).mean() == pytest.approx(expect(Z, rho.matrix), abs=1e-14)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(1, 3), n=st.integers(1, 3), outcomes=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_unbiasedness_residual_never_exceeds_the_entrywise_one(d, n, outcomes, seed):
+    # an orbit mean is at most the orbit's largest entry in modulus
+    space = CopySpace(d, n)
+    rng = np.random.default_rng(seed)
+    a = random_hermitian(d, rng)
+    p = random_povm(space, outcomes, rng, values=rng.standard_normal(outcomes))
+    entrywise = np.abs(p.first_moment() - copy_average(a, space)).max()
+    assert p.unbiasedness_residual(a) <= entrywise * (1 + 1e-12)
 
 
 def test_estimation_error_examples():
