@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from obsavg.errors import ConditioningError, DimensionCapError, DimensionMismatchError
 from obsavg.linops import random_density, random_hermitian, tensor_power, trace_product
@@ -166,6 +168,28 @@ def test_coefficient_extract_matches_symmetrized_sum(d, n):
         lhs = coefficient_extract(x, vectors)
         rhs = symmetrized_product_sum(x, vectors)
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(1, 3), n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+@example(d=3, n=4, seed=0)
+def test_coefficient_extract_equals_the_symmetrized_sum_on_any_operator(d, n, seed):
+    rng = np.random.default_rng(seed)
+    x = _random_matrix(rng, d**n)
+    vectors = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(n)]
+    rhs = symmetrized_product_sum(x, vectors)
+    assert abs(coefficient_extract(x, vectors) - rhs) <= 1e-9 * max(1.0, abs(rhs))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(1, 3), n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]))
+@example(d=2, n=3, seed=0, scale=1.0)
+@example(d=3, n=3, seed=1, scale=1e3)
+def test_reconstruct_from_diagonal_recovers_any_operator(d, n, seed, scale):
+    x = scale * _random_matrix(np.random.default_rng(seed), d**n)
+    got = reconstruct_from_diagonal(lambda t: product_grid_expectations(x, t, n), d, n)
+    assert np.abs(got - x).max() < 1e-12 * scale
 
 
 def test_coefficient_extract_refuses_bad_shapes():

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from obsavg.errors import DimensionCapError, DimensionMismatchError, OperatorValidationError
 from obsavg.linops import expect, random_density, random_hermitian
@@ -167,6 +169,24 @@ def test_twirl_matches_conjugation_oracle_and_is_projection():
         assert np.abs(twirl(out, space) - out).max() < 1e-13
         assert np.trace(out) == pytest.approx(np.trace(x))
         assert is_perm_invariant(out, space, tol=1e-12)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(1, 3), n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+@example(d=3, n=4, seed=0)
+def test_twirl_is_the_trace_preserving_group_average_projection(d, n, seed):
+    space = CopySpace(d, n)
+    dim = space.total_dim
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    oracle = sum(p.conj().T @ x @ p for p in
+                 (permutation_operator(sigma, space) for sigma in all_permutations(n)))
+    out = twirl(x, space)
+    assert np.abs(out - oracle / math.factorial(n)).max() < 1e-12
+    assert np.abs(twirl(out, space) - out).max() < 1e-13
+    assert np.trace(out) == pytest.approx(np.trace(x), abs=1e-12)
+    rho = random_density(d, rng).tensor_power(n)
+    assert np.trace(out @ rho) == pytest.approx(np.trace(x @ rho), abs=1e-12)
 
 
 def test_pair_orbit_labels_match_bruteforce_orbits():
