@@ -28,9 +28,10 @@ which also fills the caches the timed runs find.
 
 The second form writes one JSON record: that ladder for DIR (the parent) and
 for this checkout (the change), from one `--tree --job` subprocess per side
-and job kind, the kinds in turn and the side that runs first alternating
-(parent first for twirl and simulate, change first for adversary), so a
-drift of the machine falls on both sides; obsbench run
+and job kind, two per side: the kinds in turn, each run parent, change,
+change, parent (twirl and simulate) or change, parent, parent, change
+(adversary), so a drift of the machine, within a kind too, falls on both
+sides. Each side's ladder keeps both rows of every instance; obsbench run
 pairs (`obsbench/run.py --workload W --seed S --seconds 30 --trace 0` in each
 checkout, alternating which side runs first), one per `--seeds` value on the
 claimed `--workload` and one per each of the first three seeds on every other
@@ -175,14 +176,20 @@ def _run_json(cmd: list[str], cwd: Path) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
+def ladder_order(kinds) -> list[tuple[str, str]]:
+    """(job kind, side) of each ladder subprocess of record, in the order they run."""
+    abba = ("parent", "change", "change", "parent")
+    baab = ("change", "parent", "parent", "change")
+    return [(job, side) for k, job in enumerate(kinds) for side in (abba if k % 2 == 0 else baab)]
+
+
 def record(parent: Path, workload: str | None, seeds: list[int]) -> dict:
     trees = {"parent": parent.resolve(), "change": ROOT}
     ladders = {"parent": [], "change": []}
-    for k, job in enumerate(JOBS):
-        for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
-            ladders[side] += [json.loads(line) for line in subprocess.run(
-                [sys.executable, __file__, "--tree", str(trees[side]), "--job", job],
-                capture_output=True, text=True, check=True).stdout.splitlines()]
+    for job, side in ladder_order(JOBS):
+        ladders[side] += [json.loads(line) for line in subprocess.run(
+            [sys.executable, __file__, "--tree", str(trees[side]), "--job", job],
+            capture_output=True, text=True, check=True).stdout.splitlines()]
     jobs = [(w, seed) for w in WORKLOADS for seed in (seeds if w == workload else seeds[:3])]
     pairs = []
     for k, (w, seed) in enumerate(jobs):

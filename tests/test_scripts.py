@@ -38,6 +38,14 @@ def test_cli_bytes_match_the_committed_table(tmp_path, monkeypatch):
                           f"numpy {table['numpy']} on {table['machine']}: {differ}")
 
 
+def test_ladder_record_runs_each_kind_abba_and_the_next_baab():
+    order = _load("ladder").ladder_order(["twirl", "adversary", "simulate"])
+    assert order == [("twirl", "parent"), ("twirl", "change"), ("twirl", "change"),
+                     ("twirl", "parent"), ("adversary", "change"), ("adversary", "parent"),
+                     ("adversary", "parent"), ("adversary", "change"), ("simulate", "parent"),
+                     ("simulate", "change"), ("simulate", "change"), ("simulate", "parent")]
+
+
 @pytest.mark.parametrize("job, layers", [
     ("twirl", ["jsonio.load_s", "symspace.twirl_s", "jsonio.dump_s"]),
     ("adversary", ["adversary.project_s", "adversary.compare_s", "povm.validate_s"]),
