@@ -5,11 +5,12 @@
 Every argv runs through `obsavg.cli.main` of this checkout in one temporary
 work directory (the current directory while it runs), with the same input
 files, written with numpy and the standard library from fixed seeds: three
-single-copy states, diagonal canonical POVMs of pauli-z on 3 copies and
-spin1-z on 2, the first with its values shifted (biased), a random dense POVM
-on two qubits, an incomplete POVM and four malformed POVM files (a
-non-numeric value, a short 're' row, no 'outcomes', and the literal 1e400),
-and random complex operators of dim 4 and 9 for twirl.
+single-copy states and a joint state of dim 4, diagonal canonical POVMs of
+pauli-z on 3 copies and spin1-z on 2, the first with its values shifted
+(biased), a random dense POVM on two qubits, a one-level POVM, an incomplete
+POVM and four malformed POVM files (a non-numeric value, a short 're' row, no
+'outcomes', and the literal 1e400), random complex operators of dim 4 and 9
+for twirl, and a diagonal observable of dim 66.
 The sha256 of stdout, of stderr, the exit code and the sha256 of every --out
 and --csv file are compared with the committed table tests/byte_table.json,
 which also names the numpy version and the machine it was written on. Usage
@@ -109,6 +110,12 @@ ARGV = [
     ["theta", "--observable", "pauli-x", "--copies", "2"],
     ["twirl", "--input", "op4.json", "--local-dim", "2"],
     ["twirl", "--input", "op9.json", "--local-dim", "3"],
+    # POVMs on copies of the state or observable: a joint state, one level, 66 levels
+    ["sample", "--povm", "random.json", "--state", "rho4.json", "--shots", "100",
+     "--copies", "3"],
+    ["error", "--povm", "random.json", "--observable", "pauli-x", "--state", "rho4.json"],
+    _adversary("diag66.json", 1, trials=1),
+    ["verify-povm", "--povm", "one.json", "--observable", "identity-1"],
 ]
 # where the command has them, --out and --csv go to files of their own
 _WRITES = {"adversary": ["--csv"], "sample": ["--csv"], "canonical": ["--csv"],
@@ -169,15 +176,18 @@ def write_inputs(work: Path) -> None:
         "plus.json": _operator(np.full((2, 2), 0.5, dtype=complex)),
         "rho2.json": _operator(_density(2, 3)),
         "rho3.json": _operator(_density(3, 4)),
+        "rho4.json": _operator(_density(4, 10)),
         "z3.json": _povm(*_diagonal_canonical([1.0, -1.0], 3)),
         "s2.json": _povm(*_diagonal_canonical([1.0, 0.0, -1.0], 2)),
         "random.json": _povm([-1.0, 0.0, 1.0], _random_povm(4, 3, 6)),
         "incomplete.json": _povm([1.0, -1.0], [np.eye(2, dtype=complex)] * 2),
+        "one.json": _povm([1.0], [np.eye(1, dtype=complex)]),
         "bad_value.json": {"dim": 2, "outcomes": [{"value": "x", "re": [[1, 0], [0, 1]]}]},
         "short_row.json": {"dim": 2, "outcomes": [{"value": 1.0, "re": [[1, 0], [0]]}]},
         "no_outcomes.json": {"dim": 2},
         "op4.json": _operator(_random_operator(4, 8)),
         "op9.json": _operator(_random_operator(9, 9)),
+        "diag66.json": _operator(np.diag(np.linspace(-1.0, 1.0, 66)).astype(complex)),
     }
     values, elements = _diagonal_canonical([1.0, -1.0], 3)
     files["biased.json"] = _povm(values + 0.2, elements)

@@ -373,11 +373,6 @@ def compare(p: Povm, a, rho) -> ComparisonReport:
     """
     obs = as_observable(a)
     p.require_valid()
-    space = p.space
-    if space is None:
-        raise PovmValidationError(
-            "compared POVM needs copy-space metadata", code="POVM_INVALID"
-        )
     residual = p.unbiasedness_residual(obs)
     if residual > UNBIASED_TOL:
         raise PovmValidationError(
@@ -394,9 +389,9 @@ def compare(p: Povm, a, rho) -> ComparisonReport:
         )
     state = as_state(rho)
     adv_err = p.estimation_error(obs, state)
-    can_err = canonical_error(obs, state, space.n_copies)
+    can_err = canonical_error(obs, state, p.space.n_copies)
     return ComparisonReport(
-        n_copies=space.n_copies,
+        n_copies=p.space.n_copies,
         n_outcomes=p.n_outcomes,
         adversary_error=adv_err,
         canonical_error=can_err,

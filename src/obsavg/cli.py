@@ -160,16 +160,21 @@ def _cmd_twirl(opt: dict) -> int:
     return 0
 
 
+def _on_copies(raw: Povm, local_dim: int, requested: int | None) -> Povm:
+    """raw on CopySpace(local_dim, n), n from --copies or inferred from the dims."""
+    n = _infer_copies(local_dim, raw.dim, requested)
+    return Povm(raw.values, raw.elements, CopySpace(local_dim, n))
+
+
 def _cmd_verify_povm(opt: dict) -> int:
     povm = jsonio.load_povm(opt["povm"])
     report = povm.validate().to_dict()
     report = {"n_outcomes": povm.n_outcomes, "dim": povm.dim, **report}
     if opt["observable"] is not None:
         obs = _load_observable(opt["observable"])
-        n = _infer_copies(obs.dim, povm.dim, opt["copies"])
-        povm = Povm(povm.values, povm.elements, CopySpace(obs.dim, n))
+        povm = _on_copies(povm, obs.dim, opt["copies"])
         residual = povm.unbiasedness_residual(obs)
-        report["n_copies"] = n
+        report["n_copies"] = povm.space.n_copies
         report["unbiasedness_residual"] = residual
         report["unbiased"] = residual <= UNBIASED_TOL
     jsonio.write_text(report, opt["out"])
@@ -179,24 +184,16 @@ def _cmd_verify_povm(opt: dict) -> int:
 def _cmd_error(opt: dict) -> int:
     obs = _load_observable(opt["observable"])
     state = DensityMatrix(jsonio.load_operator(opt["state"]))
-    raw = jsonio.load_povm(opt["povm"])
-    n = _infer_copies(obs.dim, raw.dim, opt["copies"])
-    space = CopySpace(obs.dim, n)
-    povm = Povm(raw.values, raw.elements, space)
+    povm = _on_copies(jsonio.load_povm(opt["povm"]), obs.dim, opt["copies"])
     povm.require_valid()
-    if state.dim != obs.dim:
-        raise DimensionMismatchError(
-            f"the error command takes a single-copy state (dim {obs.dim}), "
-            f"got dim {state.dim}; copies are tensored on internally"
-        )
-    expected = obs.expectation(state.matrix)
     err = povm.estimation_error(obs, state)
+    n = povm.space.n_copies
     base = canonical_error(obs, state, n)
     residual = povm.unbiasedness_residual(obs)
     report = {
         "n_copies": n,
         "n_outcomes": povm.n_outcomes,
-        "expected_value": expected,
+        "expected_value": obs.expectation(state.matrix),
         "estimation_error": err,
         "canonical_error": base,
         "gap": err - base,
@@ -210,11 +207,7 @@ def _cmd_error(opt: dict) -> int:
 def _cmd_sample(opt: dict) -> int:
     raw = jsonio.load_povm(opt["povm"])
     state = DensityMatrix(jsonio.load_operator(opt["state"]))
-    if state.dim != raw.dim:
-        n = _infer_copies(state.dim, raw.dim, opt["copies"])
-        povm = Povm(raw.values, raw.elements, CopySpace(state.dim, n))
-    else:
-        povm = raw
+    povm = _on_copies(raw, state.dim, opt["copies"])
     povm.require_valid()
     counts = povm.sample(state, opt["shots"], seed=opt["seed"])
     report = {

@@ -23,7 +23,7 @@ from .linops import (
     tensor_power,
 )
 from .povm import OutcomeDistribution, Povm
-from .symspace import CopySpace, _digit_counts
+from .symspace import CopySpace, _digit_counts, _type_keys
 
 MERGE_TOL_SCALE = 1e-8
 # eight-byte words per type at the type route's peak, beyond two (types, d)
@@ -214,15 +214,11 @@ def canonical_povm(a, space: CopySpace, merge_tol: float | None = None) -> Povm:
     check_memory_cap(16 * n_out * dim * dim,
                      f"canonical POVM stack of {n_out} elements of dim {dim}",
                      outcomes=n_out, dim=dim)
-    basis, col_counts = _product_basis(obs, space)
-    # every column's count vector is one of the types: match them as rows
-    n_types = classes.labels.size
-    _, ids = np.unique(np.vstack([classes.counts, col_counts]), axis=0,
-                       return_inverse=True)
-    ids = ids.reshape(-1)
-    label_of_id = np.empty(n_types, dtype=np.int64)
-    label_of_id[ids[:n_types]] = classes.labels
-    col_labels = label_of_id[ids[n_types:]]
+    basis, _ = _product_basis(obs, space)
+    # the types, in _count_table's order, are the distinct keys in descending order
+    keys = _type_keys(space.local_dim, space.n_copies)
+    distinct = np.flatnonzero(np.bincount(keys, minlength=dim))
+    col_labels = classes.labels[distinct.size - 1 - np.searchsorted(distinct, keys)]
     elements = np.empty((n_out, dim, dim), dtype=np.complex128)
     for m in range(n_out):
         vecs = basis[:, col_labels == m]

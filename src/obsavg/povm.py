@@ -25,7 +25,7 @@ from .linops import (
     expect,
     hermitian_defect,
 )
-from .symspace import CopySpace, copy_average, twirl
+from .symspace import CopySpace, _orbit_means, copy_average
 
 # probabilities this far below zero are rounding noise and get clamped
 NEG_PROB_TOL = 1e-12
@@ -136,8 +136,8 @@ class Povm:
         copied, unless already a read-only C-ordered complex128 array that
         owns its data, which is kept as is.
     space : CopySpace, optional
-        Copy-space metadata (local_dim, n_copies). Needed for the operations
-        that compare against a single-copy observable or state.
+        The copy space (local_dim, n_copies) the elements act on; one
+        system, CopySpace(D, 1), when omitted.
     """
 
     def __init__(self, values, elements, space: CopySpace | None = None):
@@ -155,7 +155,8 @@ class Povm:
             raise DimensionMismatchError("a POVM needs at least one outcome")
         if not (np.isfinite(vals).all() and np.isfinite(elems).all()):
             raise PovmValidationError("POVM has non-finite entries")
-        if space is not None and space.total_dim != elems.shape[1]:
+        space = space or CopySpace(elems.shape[1], 1)
+        if space.total_dim != elems.shape[1]:
             raise DimensionMismatchError(
                 f"element dim {elems.shape[1]} does not match total_dim {space.total_dim}"
             )
@@ -220,7 +221,7 @@ class Povm:
         rho = as_state(state)
         if rho.dim == self.dim:
             return rho.matrix
-        if self.space is not None and rho.dim == self.space.local_dim:
+        if rho.dim == self.space.local_dim:
             return rho.tensor_power(self.space.n_copies)
         raise DimensionMismatchError(
             f"state dim {rho.dim} matches neither the POVM dim {self.dim} "
@@ -242,14 +243,6 @@ class Povm:
         """sum_m r_m^2 E_m."""
         return np.einsum("m,mij->ij", self.values**2, self.elements)
 
-    def _require_space(self) -> CopySpace:
-        if self.space is None:
-            raise DimensionMismatchError(
-                "this operation needs copy-space metadata; construct the Povm "
-                "with a CopySpace"
-            )
-        return self.space
-
     def unbiasedness_residual(self, observable) -> float:
         """Max-norm distance between the twirled first moment and the copy average.
 
@@ -257,32 +250,26 @@ class Povm:
         states rho^(x)n span the permutation-invariant operators, so unbiased
         on every state means twirl(T) = copy_average(A); T itself may differ
         off the invariant subspace, as when one copy is measured alone. The
-        copy average is invariant, so this is max |twirl(T - copy_average(A))|.
+        copy average is invariant, so this is max |twirl(T - copy_average(A))|,
+        the largest orbit mean of the gap.
         """
-        space = self._require_space()
-        gap = self.first_moment() - copy_average(as_matrix(observable), space)
-        return float(np.abs(twirl(gap, space)).max())
+        gap = self.first_moment() - copy_average(as_matrix(observable), self.space)
+        return float(np.abs(_orbit_means(gap, self.space)).max())
 
     def estimation_error(self, observable, state) -> float:
-        """Root mean square deviation of the estimate from the true mean.
+        """Root mean square deviation of the estimate from the true mean <A>_rho.
 
-        The state may be a single copy (dim d) or a joint state (dim D);
-        the true mean is the single-copy expectation of the observable,
-        evaluated through the copy average in the joint case.
+        The state is a single copy (dim local_dim); the POVM measures its
+        n_copies-fold tensor power.
         """
-        space = self._require_space()
         a = as_matrix(observable)
         rho = as_state(state)
-        if rho.dim == space.local_dim:
-            center = expect(a, rho.matrix)
-        elif rho.dim == self.dim:
-            center = expect(copy_average(a, space), rho.matrix)
-        else:
+        if rho.dim != self.space.local_dim:
             raise DimensionMismatchError(
-                f"state dim {rho.dim} matches neither local dim "
-                f"{space.local_dim} nor total dim {self.dim}"
+                f"estimation_error takes a single-copy state of dim "
+                f"{self.space.local_dim}, got dim {rho.dim}"
             )
-        return self.probabilities(rho).rms_about(center)
+        return self.probabilities(rho).rms_about(expect(a, rho.matrix))
 
     def sample(self, state, shots: int, seed: int | None = None) -> np.ndarray:
         """Multinomial outcome counts; deterministic for a fixed seed."""

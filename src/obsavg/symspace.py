@@ -57,6 +57,17 @@ def _digit_counts(local_dim: int, n_copies: int) -> np.ndarray:
     return np.stack([(digits == a).sum(axis=1) for a in range(local_dim)], axis=1)
 
 
+def _type_keys(local_dim: int, n_copies: int) -> np.ndarray:
+    """(D,) key of each composite index's type: the smallest index with the same digits.
+
+    That index has the digits sorted ascending. It stays below D, so no
+    local dimension overflows int64, as a base-(n + 1) code of the digit
+    counts does from d = 64 at one copy.
+    """
+    digits, weights = _digit_table(local_dim, n_copies)
+    return np.sort(digits, axis=1) @ weights
+
+
 def lift(a, site: int, space: CopySpace) -> np.ndarray:
     """a acting on one site, identity elsewhere: I ox ... ox a ox ... ox I."""
     m = as_matrix(a)
@@ -139,15 +150,19 @@ def orbit_sums(x, space: CopySpace) -> np.ndarray:
     return np.bincount(labels, entries.real) + 1j * np.bincount(labels, entries.imag)
 
 
+def _orbit_means(x, space: CopySpace) -> np.ndarray:
+    """Mean of the entries of x over each index-pair orbit, in pair_orbit_labels order."""
+    sizes = np.bincount(pair_orbit_labels(space).reshape(-1))
+    return orbit_sums(x, space) / sizes
+
+
 def twirl(x, space: CopySpace) -> np.ndarray:
     """Group average (1/n!) sum_sigma P_sigma^dagger x P_sigma.
 
     Projects onto the permutation-invariant operator subspace: every entry
     becomes the mean of x over its index-pair orbit.
     """
-    labels = pair_orbit_labels(space)
-    sizes = np.bincount(labels.reshape(-1))
-    return (orbit_sums(x, space) / sizes)[labels]
+    return _orbit_means(x, space)[pair_orbit_labels(space)]
 
 
 def invariant_basis(space: CopySpace) -> list[np.ndarray]:
@@ -223,7 +238,7 @@ def _schur_basis(local_dim: int, n_copies: int) -> SchurBasis:
     weights = _digit_counts(d, n)
     types: dict[tuple[int, ...], np.ndarray] = {}
     position = np.empty(dim, dtype=np.int64)
-    codes = weights @ (n + 1) ** np.arange(d)
+    codes = _type_keys(d, n)
     # grouped by a stable sort, not np.unique, which imports numpy.ma (30 ms)
     order = np.argsort(codes, kind="stable")
     for ids in np.split(order, np.flatnonzero(np.diff(codes[order])) + 1):

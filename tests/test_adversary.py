@@ -142,6 +142,28 @@ def test_project_finds_valid_unbiased_povm():
     assert result.iterations > 0
 
 
+@pytest.mark.parametrize("a,space,seed", [(SPIN1_Z, CopySpace(3, 2), 13),
+                                           *[(X, CopySpace(2, 3), s) for s in (16, 21, 26)]],
+                         ids=["spin1-z-2-seed-13", "pauli-x-3-seed-16", "pauli-x-3-seed-21",
+                              "pauli-x-3-seed-26"])
+def test_project_lifts_again_when_the_first_lift_misses_completeness(monkeypatch, a, space,
+                                                                     seed):
+    # at a loose convergence_tol the first lift's completeness misses DEFAULT_TOL
+    lifts = []
+
+    def spy(*args):
+        lifts.append(args)
+        return lift_blocks(*args)
+
+    lift_blocks = adversary._lift_blocks
+    monkeypatch.setattr(adversary, "_lift_blocks", spy)
+    result = project_unbiased_povm(a, space, np.linspace(-1.0, 1.0, 40),
+                                   rng=np.random.default_rng(seed), convergence_tol=1e-4)
+    assert len(lifts) == 2
+    assert result.completeness_residual <= 1e-9
+    result.povm.require_valid()
+
+
 def test_project_rejects_uncovering_grid():
     with pytest.raises(InfeasibleError) as err:
         project_unbiased_povm(Z, CopySpace(2, 2), (0.0,))

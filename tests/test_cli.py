@@ -13,6 +13,7 @@ from obsavg import jsonio
 from obsavg.cli import build_parser, builtin_operator, main
 from obsavg.estimators import canonical_povm
 from obsavg.linops import Observable, pure_state, random_density
+from obsavg.povm import Povm
 from obsavg.symspace import CopySpace, lift
 from competitors import COMPETITORS
 
@@ -133,6 +134,56 @@ def test_error_subcommand(canonical_povm_file, plus_state_file, capsys):
     assert report["estimation_error"] == pytest.approx(np.sqrt(0.5), abs=1e-12)
     assert abs(report["gap"]) <= 1e-12
     assert report["unbiased"] is True
+
+
+@pytest.mark.parametrize("command", ["verify-povm", "error", "sample"])
+def test_povm_commands_refuse_a_contradictory_copy_count(command, canonical_povm_file,
+                                                         plus_state_file, capsys):
+    # the POVM acts on 2 qubits: 3 copies of a qubit would be 8 dims
+    extra = {"verify-povm": ["--observable", "pauli-z"],
+             "error": ["--observable", "pauli-z", "--state", plus_state_file],
+             "sample": ["--state", plus_state_file, "--shots", "10"]}[command]
+    assert main([command, "--povm", canonical_povm_file, *extra, "--copies", "3"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DIMENSION_MISMATCH"
+    assert err["message"] == "local dim 2 with 3 copies gives 8, but the composite dim is 4"
+
+
+def test_sample_places_the_povm_on_copies_of_the_state(canonical_povm_file, write_operator,
+                                                       capsys):
+    # a joint state is one copy of a 4-dim system, so it takes --copies 1 and refuses 3
+    joint = write_operator(pure_state([1.0, 1.0]).tensor_power(2), "joint.json")
+    argv = ["sample", "--povm", canonical_povm_file, "--state", joint, "--shots", "10"]
+    assert main(argv) == 0
+    assert main(argv + ["--copies", "1"]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--copies", "3"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DIMENSION_MISMATCH"
+    assert err["message"] == "local dim 4 with 3 copies gives 64, but the composite dim is 4"
+
+
+def test_error_refuses_a_joint_state(canonical_povm_file, write_operator, capsys):
+    joint = write_operator(pure_state([1.0, 1.0]).tensor_power(2), "joint.json")
+    assert main(["error", "--povm", canonical_povm_file, "--observable", "pauli-z",
+                 "--state", joint]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DIMENSION_MISMATCH"
+    assert err["message"] == "estimation_error takes a single-copy state of dim 2, got dim 4"
+
+
+def test_verify_povm_on_a_one_level_observable(tmp_path, canonical_povm_file, capsys):
+    # local dim 1 fits only a 1-dim POVM, as one copy
+    one = tmp_path / "one.json"
+    jsonio.write_text(jsonio.dump_povm(Povm([1.0], [np.eye(1)])), one)
+    assert main(["verify-povm", "--povm", str(one), "--observable", "identity-1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["n_copies"] == 1 and report["unbiased"] is True
+    assert main(["verify-povm", "--povm", canonical_povm_file,
+                 "--observable", "identity-1"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DIMENSION_MISMATCH"
+    assert err["message"] == "composite dim 4 is impossible for local dim 1"
 
 
 def test_sample_subcommand_deterministic(tmp_path, canonical_povm_file,

@@ -15,6 +15,7 @@ from obsavg.errors import DimensionCapError, DimensionMismatchError, ObsavgError
 from obsavg.estimators import (
     TYPE_WORDS,
     EstimationReport,
+    _count_table,
     _product_basis,
     canonical_error,
     canonical_povm,
@@ -35,7 +36,7 @@ from obsavg.linops import (
     tensor_power,
 )
 from obsavg.povm import UNBIASED_TOL, OutcomeDistribution
-from obsavg.symspace import CopySpace, _digit_counts, copy_average
+from obsavg.symspace import CopySpace, _digit_counts, _digit_table, _type_keys, copy_average
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -248,6 +249,15 @@ def test_digit_counts_are_the_column_types_built_one_copy_at_a_time(d, n):
     for _ in range(n):
         reference = (reference[:, None, :] + np.eye(d, dtype=np.int64)).reshape(-1, d)
     assert np.array_equal(_digit_counts(d, n), reference)
+
+
+@pytest.mark.parametrize("d,n", [(1, 4), (2, 10), (3, 6), (5, 4), (66, 1), (66, 2)])
+def test_type_keys_descend_in_count_table_order(d, n):
+    # canonical_povm reads a column's type from its key's rank among the distinct keys
+    counts = _count_table(n, d).astype(np.int64)
+    _, weights = _digit_table(d, n)
+    smallest = [np.repeat(np.arange(d), k) @ weights for k in counts]
+    assert np.array_equal(smallest, np.unique(_type_keys(d, n))[::-1])
 
 
 @pytest.mark.parametrize("spectrum", ["distinct", "degenerate"])
@@ -591,6 +601,12 @@ def test_estimate_canonical_refuses_negative_shots():
     with pytest.raises(ObsavgError) as err:
         estimate_canonical(Z, PLUS, 2, shots=-5)
     assert err.value.code == "BAD_COUNT"
+
+
+@pytest.mark.parametrize("route", [repeated_measurement_distribution, estimate_canonical])
+def test_routes_refuse_zero_copies(route):
+    with pytest.raises(DimensionMismatchError, match="n_copies must be >= 1, got 0"):
+        route(Z, PLUS, 0)
 
 
 def test_estimation_report_key_order_is_stable():

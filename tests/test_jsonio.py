@@ -105,7 +105,7 @@ def test_povm_round_trip(tmp_path):
     path = tmp_path / "povm.json"
     jsonio.write_text(jsonio.dump_povm(p), path)
     raw = jsonio.load_povm(path)
-    assert raw.space is None
+    assert raw.space == CopySpace(4, 1)
     loaded = Povm(raw.values, raw.elements, space)
     assert loaded.elements is raw.elements  # frozen as read, so kept without a copy
     assert np.array_equal(loaded.values, p.values)

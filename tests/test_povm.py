@@ -186,9 +186,10 @@ def test_estimation_error_examples():
     assert p.estimation_error(Z, pure_state([1.0, 0.0])) == pytest.approx(0.0, abs=1e-12)
     # |+>: variance 1, two copies
     assert p.estimation_error(Z, PLUS) == pytest.approx(np.sqrt(0.5))
-    # joint-state route agrees
+    # a joint state is refused: the true mean is a single-copy expectation
     joint = DensityMatrix(PLUS.tensor_power(2))
-    assert p.estimation_error(Z, joint) == pytest.approx(np.sqrt(0.5))
+    with pytest.raises(DimensionMismatchError):
+        p.estimation_error(Z, joint)
 
 
 def test_estimation_error_squared_identity_for_unbiased():
