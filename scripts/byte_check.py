@@ -114,7 +114,8 @@ ARGV = [
     ["sample", "--povm", "random.json", "--state", "rho4.json", "--shots", "100",
      "--copies", "3"],
     ["error", "--povm", "random.json", "--observable", "pauli-x", "--state", "rho4.json"],
-    _adversary("diag66.json", 1, trials=1),
+    # two grid values: at the default 8 the last digits follow the BLAS thread count
+    _adversary("diag66.json", 1, "--grid", "2", trials=1),
     ["verify-povm", "--povm", "one.json", "--observable", "identity-1"],
 ]
 # where the command has them, --out and --csv go to files of their own

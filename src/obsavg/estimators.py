@@ -23,7 +23,7 @@ from .linops import (
     tensor_power,
 )
 from .povm import OutcomeDistribution, Povm
-from .symspace import CopySpace, _digit_counts, _type_keys
+from .symspace import CopySpace, _type_keys
 
 MERGE_TOL_SCALE = 1e-8
 # eight-byte words per type at the type route's peak, beyond two (types, d)
@@ -158,19 +158,19 @@ def _type_classes(eigenvalues: np.ndarray, n: int,
     return _TypeClasses(counts, log_mult, labels, values)
 
 
-def _product_basis(obs: Observable, space: CopySpace) -> tuple[np.ndarray, np.ndarray]:
-    """U^(x)n of the observable's eigenvectors and the (D, d) type of each column.
+def _product_basis(obs: Observable, space: CopySpace) -> np.ndarray:
+    """U^(x)n of the observable's eigenvectors.
 
     Column c of U^(x)n is a product of eigenvectors, the first factor most
-    significant; counts[c, i] is how many of its factors are u_i, so the
-    copy average has eigenvalue counts[c] @ lambda / n on that column.
+    significant; symspace._digit_counts(d, n)[c, i] is how many of its
+    factors are u_i, so the copy average has eigenvalue counts[c] @ lambda / n
+    on that column.
     """
     if obs.dim != space.local_dim:
         raise DimensionMismatchError(
             f"observable dim {obs.dim} does not match local_dim {space.local_dim}"
         )
-    d, n = space.local_dim, space.n_copies
-    return tensor_power(obs.eigenvectors, n), _digit_counts(d, n)
+    return tensor_power(obs.eigenvectors, space.n_copies)
 
 
 def _spectral_probabilities(obs: Observable, state: DensityMatrix) -> np.ndarray:
@@ -214,7 +214,7 @@ def canonical_povm(a, space: CopySpace, merge_tol: float | None = None) -> Povm:
     check_memory_cap(16 * n_out * dim * dim,
                      f"canonical POVM stack of {n_out} elements of dim {dim}",
                      outcomes=n_out, dim=dim)
-    basis, _ = _product_basis(obs, space)
+    basis = _product_basis(obs, space)
     # the types, in _count_table's order, are the distinct keys in descending order
     keys = _type_keys(space.local_dim, space.n_copies)
     distinct = np.flatnonzero(np.bincount(keys, minlength=dim))

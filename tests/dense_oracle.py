@@ -29,14 +29,15 @@ from obsavg.estimators import (
 )
 from obsavg.linops import as_observable
 from obsavg.povm import OutcomeDistribution, Povm
-from obsavg.symspace import CopySpace
+from obsavg.symspace import CopySpace, _digit_counts
 
 
 def search_product_basis(obs, space: CopySpace, values: np.ndarray, start, rng,
                          max_iterations: int, convergence_tol: float) -> FeasibilityResult:
     """The search on the whole (M, D, D) stack in the product basis U^(x)n."""
     dim, n_out = space.total_dim, values.size
-    basis_q, counts = _product_basis(obs, space)
+    basis_q = _product_basis(obs, space)
+    counts = _digit_counts(space.local_dim, space.n_copies)
     theta = counts @ obs.eigenvalues / space.n_copies
     allow = _allowed(obs, values, theta)
     masks = allow[:, :, None] & allow[:, None, :]

@@ -235,7 +235,8 @@ def _basis_cases():
 def test_product_basis_diagonalises_the_dense_copy_average(a, n):
     obs = Observable(a)
     space = CopySpace(obs.dim, n)
-    basis, counts = _product_basis(obs, space)
+    basis = _product_basis(obs, space)
+    counts = _digit_counts(obs.dim, n)
     theta = counts @ obs.eigenvalues / n
     rotated = basis.conj().T @ copy_average(obs.matrix, space) @ basis
     assert np.abs(rotated - np.diag(theta)).max() <= 1e-12
