@@ -117,6 +117,13 @@ ARGV = [
     # two grid values: at the default 8 the last digits follow the BLAS thread count
     _adversary("diag66.json", 1, "--grid", "2", trials=1),
     ["verify-povm", "--povm", "one.json", "--observable", "identity-1"],
+    # copy averages at d=3 and with complex entries, and the polarization lemma,
+    # one row of it with too few probes
+    ["theta", "--observable", "spin1-z", "--copies", "3"],
+    ["theta", "--observable", "pauli-y", "--copies", "3"],
+    ["lemma-demo"],
+    ["lemma-demo", "--dim", "2", "--copies", "4", "--seed", "5"],
+    ["lemma-demo", "--dim", "2", "--copies", "2", "--probes", "9"],
 ]
 # where the command has them, --out and --csv go to files of their own
 _WRITES = {"adversary": ["--csv"], "sample": ["--csv"], "canonical": ["--csv"],

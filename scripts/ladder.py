@@ -15,7 +15,9 @@ the one `--job` names:
   and gap read back from `--csv`;
 - `simulate` on pauli-x (state |0>) at n = 20, 200, 360, and on a random
   observable and state (numpy seed 3) at d=3, n = 30, 54 and d=4,
-  n = 30, 60, 100.
+  n = 30, 60, 100;
+- `theta`, the copy average written out, on pauli-x at n = 6..10 and spin1-z
+  at n = 4..6.
 
 `wall_s` is the median of `cli.main`'s wall time over the instance's runs
 (REPEATS runs of its argv, or one run per adversary seed). Each layer metric
@@ -30,13 +32,14 @@ The second form writes one JSON record: that ladder for DIR (the parent) and
 for this checkout (the change), from one `--tree --job` subprocess per side
 and job kind, two per side: the kinds in turn, each run parent, change,
 change, parent (twirl and simulate) or change, parent, parent, change
-(adversary), so a drift of the machine, within a kind too, falls on both
-sides. Each side's ladder keeps both rows of every instance; obsbench run
-pairs (`obsbench/run.py --workload W --seed S --seconds 30 --trace 0` in each
-checkout, alternating which side runs first), one per `--seeds` value on the
-claimed `--workload` and one per each of the first three seeds on every other
-workload; and one traced run per side (`--seed 1 --seconds 1 --trace 1`) of
-the claimed workload, or of every workload when none is claimed.
+(adversary and theta), so a drift of the machine, within a kind too, falls
+on both sides. Each side's ladder keeps both rows of every instance;
+obsbench run pairs (`obsbench/run.py --workload W --seed S --seconds 30
+--trace 0` in each checkout, alternating which side runs first), one per
+`--seeds` value on the claimed `--workload` and one per each of the first
+three seeds on every other workload; and one traced run per side (`--seed 1
+--seconds 1 --trace 1`) of the claimed workload, or of every workload when
+none is claimed.
 """
 from __future__ import annotations
 
@@ -110,7 +113,15 @@ def simulations(work: Path, repeats: int, seeds: list[int]):
                  "--shots", "1000", "--seed", "1", "--out", str(work / "out.json")]] * repeats)
 
 
-JOBS = {"twirl": twirls, "adversary": adversaries, "simulate": simulations}
+def thetas(work: Path, repeats: int, seeds: list[int]):
+    for name, d, copies in (("pauli-x", 2, range(6, 11)), ("spin1-z", 3, range(4, 7))):
+        for n in copies:
+            yield ({"job": "theta", "observable": name, "d": d, "n": n},
+                   [["theta", "--observable", name, "--copies", str(n), "--out",
+                     str(work / "out.json")]] * repeats)
+
+
+JOBS = {"twirl": twirls, "adversary": adversaries, "simulate": simulations, "theta": thetas}
 
 
 def _run(cli_main, argv: list[str]) -> None:

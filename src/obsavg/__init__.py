@@ -68,7 +68,6 @@ from .symspace import (
     CopySpace,
     copy_average,
     invariant_basis,
-    lift,
     pair_orbit_labels,
     twirl,
 )

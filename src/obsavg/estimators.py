@@ -406,11 +406,11 @@ def estimate_canonical(a, rho, n_copies: int, shots: int = 0,
     state = as_state(rho)
     p = np.clip(_spectral_probabilities(obs, state), 0.0, None)
     classes = _type_classes(obs.eigenvalues, n_copies, merge_tol)
-    # a type drawing an outcome of probability 0 is impossible; 0 * log 0 = 0
+    # a type drawing an outcome of probability 0 is impossible (exp(-inf) = 0); 0 * log 0 = 0
     seen = p > 0.0
     log_p = np.log(p, out=np.zeros_like(p), where=seen)
-    terms = np.exp(classes.counts @ log_p + classes.log_mult)
-    terms[classes.counts @ ~seen > 0] = 0.0
+    impossible = classes.counts @ ~seen > 0
+    terms = np.exp(np.where(impossible, -np.inf, classes.counts @ log_p + classes.log_mult))
     probs = np.bincount(classes.labels, terms, minlength=classes.values.size)
     # the same 1e-9 per summed term as Povm.probabilities, over types, not d**n
     dist = OutcomeDistribution(classes.values, probs,

@@ -8,6 +8,7 @@ pairs.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -68,27 +69,24 @@ def _type_keys(local_dim: int, n_copies: int) -> np.ndarray:
     return np.sort(digits, axis=1) @ weights
 
 
-def lift(a, site: int, space: CopySpace) -> np.ndarray:
-    """a acting on one site, identity elsewhere: I ox ... ox a ox ... ox I."""
-    m = as_matrix(a)
-    d, n = space.local_dim, space.n_copies
-    if m.shape[0] != d:
-        raise DimensionMismatchError(
-            f"operator dim {m.shape[0]} does not match local_dim {d}"
-        )
-    if not 0 <= site < n:
-        raise DimensionMismatchError(f"site {site} outside range(0, {n})")
-    left = np.eye(d ** site, dtype=np.complex128)
-    right = np.eye(d ** (n - site - 1), dtype=np.complex128)
-    return np.kron(np.kron(left, m), right)
-
-
 def copy_average(a, space: CopySpace) -> np.ndarray:
-    """Average of the single-site liftings of a over all sites."""
-    d, n = space.local_dim, space.n_copies
-    out = np.zeros((space.total_dim, space.total_dim), dtype=np.complex128)
+    """Average of the single-site liftings of a over all sites.
+
+    Lifted to site k, a links index i only to the indices that differ from
+    it at site k: row i, with digit b there, takes a[b, :] at the columns
+    i + (c - b) * place[k], c = 0..d-1. The sites are summed in order, as
+    the Kronecker sum of the liftings is, so the bits are the same.
+    """
+    m = as_matrix(a)
+    d, n, dim = space.local_dim, space.n_copies, space.total_dim
+    if m.shape[0] != d:
+        raise DimensionMismatchError(f"operator dim {m.shape[0]} does not match local_dim {d}")
+    digits, place = _digit_table(d, n)
+    out = np.zeros((dim, dim), dtype=np.complex128)
     for site in range(n):
-        out += lift(a, site, space)
+        for b in range(d):
+            rows = np.flatnonzero(digits[:, site] == b)[:, None]
+            out[rows, rows + (np.arange(d) - b) * place[site]] += m[b]
     out /= n
     return out
 
@@ -169,10 +167,14 @@ def invariant_basis(space: CopySpace) -> list[np.ndarray]:
     """0/1 indicator matrices of the index-pair orbits under the permutation action.
 
     The returned list is a basis of the permutation-invariant matrix subspace,
-    ordered by the smallest composite pair code in each orbit.
+    ordered by the smallest composite pair code in each orbit. Its size,
+    C(n + d^2 - 1, n) dense matrices, is checked against the memory cap first.
     """
+    n, dim = space.n_copies, space.total_dim
+    count = math.comb(n + space.local_dim**2 - 1, n)
+    check_memory_cap(16 * count * dim * dim, f"{count} orbit indicators of dim {dim}", dim=dim)
     labels = pair_orbit_labels(space)
-    return [(labels == k).astype(np.complex128) for k in range(int(labels.max()) + 1)]
+    return [(labels == k).astype(np.complex128) for k in range(count)]
 
 
 @dataclass(frozen=True)

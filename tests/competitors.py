@@ -11,8 +11,9 @@ import itertools
 
 import numpy as np
 
+from dense_oracle import lift
 from obsavg.povm import Povm
-from obsavg.symspace import CopySpace, lift
+from obsavg.symspace import CopySpace
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 

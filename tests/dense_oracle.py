@@ -9,6 +9,9 @@ guard: keep D small.
 
 The repeated route one copy at a time: the library convolves by binary
 powers of the single-copy law; this merges one more copy n - 1 times.
+
+The copy average as n dense Kronecker lifts: the library adds a's rows at
+the index pairs that differ in at most one site.
 """
 from __future__ import annotations
 
@@ -92,3 +95,20 @@ def sequential_repeated_distribution(a, rho, n_copies: int,
         weights = (acc_p[:, None] * step_p[None, :]).ravel()
         acc_v, acc_p = _merge_weighted(sums, weights, merge_tol)
     return OutcomeDistribution(acc_v, acc_p)
+
+
+def lift(a, site: int, space: CopySpace) -> np.ndarray:
+    """a acting on one site, identity elsewhere: I ox ... ox a ox ... ox I."""
+    d, n = space.local_dim, space.n_copies
+    left = np.eye(d**site, dtype=np.complex128)
+    right = np.eye(d ** (n - site - 1), dtype=np.complex128)
+    return np.kron(np.kron(left, np.asarray(a, dtype=np.complex128)), right)
+
+
+def kronecker_copy_average(a, space: CopySpace) -> np.ndarray:
+    """(1/n) sum_k lift(a, k), summed site by site."""
+    out = np.zeros((space.total_dim, space.total_dim), dtype=np.complex128)
+    for site in range(space.n_copies):
+        out += lift(a, site, space)
+    out /= space.n_copies
+    return out

@@ -26,9 +26,9 @@ from obsavg.errors import (
 from obsavg.estimators import canonical_error, canonical_povm, total_variation
 from obsavg.linops import DensityMatrix, Observable, pure_state, random_density, random_hermitian
 from obsavg.povm import Povm
-from obsavg.symspace import CopySpace, _irrep_dims, _schur_basis, lift, twirl
+from obsavg.symspace import CopySpace, _irrep_dims, _schur_basis, twirl
 from competitors import COMPETITORS
-from dense_oracle import search_product_basis
+from dense_oracle import lift, search_product_basis
 from perm_oracle import is_perm_invariant
 
 Z = np.diag([1.0, -1.0]).astype(complex)

@@ -3,6 +3,7 @@ import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +15,9 @@ from obsavg.cli import build_parser, builtin_operator, main
 from obsavg.estimators import canonical_povm
 from obsavg.linops import Observable, pure_state, random_density
 from obsavg.povm import Povm
-from obsavg.symspace import CopySpace, lift
+from obsavg.symspace import CopySpace
 from competitors import COMPETITORS
+from dense_oracle import lift
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 
@@ -59,6 +61,20 @@ def test_theta_subcommand(tmp_path):
     assert code == 0
     avg = jsonio.load_operator(out)
     assert np.allclose(avg, np.diag([1.0, 0.0, 0.0, -1.0]))
+
+
+def test_theta_holds_two_cap_matrices(tmp_path, monkeypatch):
+    # d=2, n=8 at cap 256: the copy average, then its JSON text written in pieces
+    monkeypatch.setenv("OBSAVG_DIM_CAP", "256")
+    argv = ["theta", "--observable", "pauli-x", "--copies", "8", "--out", str(tmp_path / "t.json")]
+    assert main(argv) == 0  # lazy imports and caches
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * 16 * 256**2
 
 
 def test_twirl_subcommand(tmp_path, write_operator):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import sequential_repeated_distribution
@@ -176,6 +176,34 @@ def test_type_route_matches_dense_oracle(instance):
     povm = canonical_povm(a, CopySpace(a.shape[0], n))
     assert np.abs(povm.values - values).max() <= 1e-12
     assert np.abs(povm.elements - projectors).max() <= 1e-12
+
+
+# the most copies per local dim: d=4 at n=200 lists 1.4e6 types, inside the
+# default cap (about 2.1e6 types of d=4); d <= 3 reach n = 10^3
+TYPE_ROUTE_COPIES = {1: 1000, 2: 1000, 3: 1000, 4: 200}
+
+
+@st.composite
+def many_copy_instances(draw):
+    """(observable, state, n) as canonical_instances draws them, at n up to 10^3."""
+    d = draw(st.sampled_from([2, 3, 4, 1]))
+    n = draw(st.integers(1, TYPE_ROUTE_COPIES[d]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lam = _spectrum(draw(SPECTRA), d, rng)
+    return _observable_and_state(draw, lam, rng) + (n,)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(many_copy_instances())
+@example((np.diag([1.0, 0.0, -1.0]), np.diag([0.0, 0.0, 1.0]), 1000))  # an eigenstate
+def test_type_route_error_is_the_closed_form(instance):
+    """The canonical law's rms error about <A> is sqrt(Var/N), at N up to 10^3."""
+    a, rho, n = instance
+    report = estimate_canonical(a, rho, n)
+    # Var <= max|lambda|^2, so this is relative to the largest variance of
+    # any state; at an eigenstate Var is 0 and only rounding is left
+    scale = np.abs(np.linalg.eigvalsh(a)).max() ** 2 / n
+    assert abs(report.povm_error**2 - report.closed_form_error**2) <= 1e-11 * scale
 
 
 def test_estimate_canonical_builds_nothing_on_the_copy_space():

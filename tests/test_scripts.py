@@ -51,10 +51,12 @@ def test_ladder_record_runs_each_kind_abba_and_the_next_baab():
     ("adversary", ["adversary.project_s", "adversary.compare_s", "povm.validate_s"]),
     ("simulate", ["estimators.repeated_distribution_s", "jsonio.dump_s",
                   "estimators.repeated_outcomes"]),
+    ("theta", ["symspace.copy_average_s", "jsonio.dump_s"]),
 ])
 def test_ladder_rows_carry_their_layers(tmp_path, job, layers):
     ladder = _load("ladder")
-    # the first instance of each kind is its smallest: twirl d=2 n=5, pauli-x n=4 and n=20
+    # the first instance of each kind is its smallest: twirl d=2 n=5, pauli-x n=4, n=20
+    # and n=6
     fields, runs = next(ladder.JOBS[job](tmp_path, 1, [1]))
     row = ladder.measure(main, fields, runs)
     assert row["wall_s"] > 0 and row["peak_mb"] > 0

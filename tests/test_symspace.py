@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,11 +15,11 @@ from obsavg.symspace import (
     _schur_basis,
     copy_average,
     invariant_basis,
-    lift,
     orbit_sums,
     pair_orbit_labels,
     twirl,
 )
+from dense_oracle import kronecker_copy_average, lift
 from perm_oracle import (
     Permutation,
     all_permutations,
@@ -103,9 +104,7 @@ def test_lift_positions():
     assert np.array_equal(lift(Z, 0, space), np.kron(Z, I2))
     assert np.array_equal(lift(Z, 1, space), np.kron(I2, Z))
     with pytest.raises(DimensionMismatchError):
-        lift(Z, 2, space)
-    with pytest.raises(DimensionMismatchError):
-        lift(np.eye(3), 0, space)
+        copy_average(np.eye(3), space)
 
 
 def test_lift_trace_and_spectrum():
@@ -127,6 +126,38 @@ def test_copy_average_examples():
     assert np.allclose(copy_average(Z, one), Z)
     w = np.linalg.eigvalsh(copy_average(Z, CopySpace(2, 3)))
     assert np.allclose(w, [-1.0, -1 / 3, -1 / 3, -1 / 3, 1 / 3, 1 / 3, 1 / 3, 1.0])
+
+
+# (d, n) with D = d**n <= 256
+COPY_SPACES = [(d, n) for d in range(1, 5) for n in range(1, 9) if d**n <= 256]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(size=st.sampled_from(COPY_SPACES), seed=st.integers(0, 2**32 - 1),
+       hermitian=st.booleans())
+def test_copy_average_is_the_kronecker_sum_bit_for_bit(size, seed, hermitian):
+    space = CopySpace(*size)
+    rng = np.random.default_rng(seed)
+    d = space.local_dim
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    if hermitian:
+        a = a + a.conj().T
+    got = copy_average(a, space)
+    assert np.array_equal(got.view(np.int64), kronecker_copy_average(a, space).view(np.int64))
+
+
+def test_copy_average_holds_one_matrix(monkeypatch):
+    # d=2, n=8 at cap 256: the output, with no D x D lift beside it
+    monkeypatch.setenv("OBSAVG_DIM_CAP", "256")
+    space = CopySpace(2, 8)
+    copy_average(Z, space)  # the digit table's cache
+    tracemalloc.start()
+    try:
+        copy_average(Z, space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 16 * 256**2
 
 
 def test_copy_average_expectation_identity():
@@ -243,6 +274,15 @@ def test_invariant_basis_count_matches_multiset_formula(d, n):
     # dimension of the invariant matrix subspace: multisets of size n over d*d symbols
     expected = math.comb(d * d + n - 1, n)
     assert len(invariant_basis(CopySpace(d, n))) == expected
+
+
+def test_invariant_basis_is_held_to_the_memory_cap(monkeypatch):
+    # at cap 64, (2, 6) would hold 84 dense 64 x 64 indicators: 84 cap matrices
+    monkeypatch.setenv("OBSAVG_DIM_CAP", "64")
+    with pytest.raises(DimensionCapError) as err:
+        invariant_basis(CopySpace(2, 6))
+    assert err.value.code == "DIM_CAP"
+    assert len(invariant_basis(CopySpace(2, 2))) == 10
 
 
 def test_invariant_basis_partitions_and_spans():
