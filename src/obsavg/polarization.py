@@ -209,7 +209,7 @@ def reconstruct_from_moments(
         # Tr[B_a joint] sums joint[j, i] over the pairs (i, j) of orbit a
         design[i] = orbit_sums(state.tensor_power(n_copies).T, space)
         y[i] = complex(oracle(state))
-    u, singulars, vh = np.linalg.svd(design, full_matrices=False)
+    coeffs, _, _, singulars = np.linalg.lstsq(design, y, rcond=None)
     rank = int(np.sum(singulars > singulars[0] * 1e-10))
     if rank < n_basis:
         raise ConditioningError(
@@ -218,8 +218,6 @@ def reconstruct_from_moments(
             details={"rank": rank, "n_basis": n_basis},
         )
     condition = float(singulars[0] / singulars[-1])
-    # least squares from the same SVD: full rank, so every singular value is kept
-    coeffs = vh.conj().T @ ((u.conj().T @ y) / singulars)
     matrix = coeffs[labels]
     residual = float(np.linalg.norm(design @ coeffs - y))
     return MomentReconstruction(

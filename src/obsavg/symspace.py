@@ -174,7 +174,7 @@ def invariant_basis(space: CopySpace) -> list[np.ndarray]:
     count = math.comb(n + space.local_dim**2 - 1, n)
     check_memory_cap(16 * count * dim * dim, f"{count} orbit indicators of dim {dim}", dim=dim)
     labels = pair_orbit_labels(space)
-    return [(labels == k).astype(np.complex128) for k in range(count)]
+    return [(labels == k).astype(np.complex128) for k in range(int(labels.max()) + 1)]
 
 
 @dataclass(frozen=True)
